@@ -11,9 +11,10 @@ in ``bench_compare.py``.
 
 Headline (asserted here whenever numba is installed, i.e. in the CI
 ``kernel-backends`` lane): the compiled backend must beat numpy by >=
-1.5x on the FusedMM hot path — ``sddmm_coo`` (numpy pays a chunked
-gather + einsum) and ``spmm_scatter`` (numpy pays a sort + reduceat
-pass) — and by >= 1.2x on the fused :class:`GatScoreOp` scoring pass.
+1.5x on the FusedMM hot path — ``sddmm_coo`` (numpy pays a
+cache-sized chunked gather + einsum) and ``spmm_scatter`` (numpy pays a
+per-call CSR build + SciPy CSR matmul) — and by >= 1.2x on the fused
+:class:`GatScoreOp` scoring pass.
 ``spmm_a_block`` / ``spmm_b_block`` compete against SciPy's compiled
 sequential CSR matmul, and ``gat_edge_scores`` against a pure
 memory-bound fancy-index gather, so those gate on near-parity floors

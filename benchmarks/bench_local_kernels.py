@@ -1,9 +1,11 @@
 """Local-kernel ablation (paper Section III-A).
 
-Times the local building blocks under pytest-benchmark: naive vs
-cache-tiled SDDMM/SpMM, the fused local kernel vs two separate calls, and
-the effect of locality reordering on the blocked-kernel traffic proxy.
-These justify the shared-memory design choices DESIGN.md calls out.
+Times the local building blocks under pytest-benchmark: the chunked
+SDDMM, the scatter SpMM on transient coordinates (per-call CSR build)
+vs the cached-CSR block SpMM, the fused local kernel vs two separate
+calls, and the effect of locality reordering on the blocked-kernel
+traffic proxy.  These justify the shared-memory kernel design choices
+of the paper's Section III-A.
 
 Median per-kernel ms are merged into ``BENCH_sparse_comm.json`` under
 the ``"local_kernels"`` key (next to the communication / session / serve
@@ -22,10 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.kernels.blocked import tiled_sddmm, tiled_spmm
 from repro.kernels.fused import fusedmm_local
 from repro.kernels.sddmm import sddmm_coo
-from repro.kernels.spmm import spmm_a_block
+from repro.kernels.spmm import spmm_a_block, spmm_scatter
 from repro.sparse.coo import SparseBlock
 from repro.sparse.generate import erdos_renyi, rmat
 from repro.sparse.reorder import bfs_reorder, column_span_cost
@@ -86,12 +87,6 @@ def test_bench_sddmm(benchmark, workload):
     _record("sddmm", benchmark)
 
 
-def test_bench_sddmm_tiled(benchmark, workload):
-    S, A, B, blk = workload
-    benchmark(lambda: tiled_sddmm(A, B, blk, tile_cols=2048))
-    _record("sddmm_tiled", benchmark)
-
-
 def test_bench_spmm_csr(benchmark, workload):
     S, A, B, blk = workload
     out = np.zeros_like(A)
@@ -99,11 +94,12 @@ def test_bench_spmm_csr(benchmark, workload):
     _record("spmm_csr", benchmark)
 
 
-def test_bench_spmm_tiled(benchmark, workload):
+def test_bench_spmm_scatter(benchmark, workload):
+    """Scatter SpMM on the raw coordinates, CSR built inside every call."""
     S, A, B, blk = workload
     out = np.zeros_like(A)
-    benchmark(lambda: tiled_spmm(blk, B, out, tile_cols=2048))
-    _record("spmm_tiled", benchmark)
+    benchmark(lambda: spmm_scatter(S.rows, S.cols, S.vals, B, out))
+    _record("spmm_scatter", benchmark)
 
 
 def test_bench_fused_local(benchmark, workload):
@@ -179,9 +175,8 @@ if __name__ == "__main__":
 
     cases = {
         "sddmm": lambda: sddmm_coo(A, B, S.rows, S.cols, s_vals=S.vals),
-        "sddmm_tiled": lambda: tiled_sddmm(A, B, blk, tile_cols=2048),
         "spmm_csr": lambda: spmm_a_block(blk, B, out),
-        "spmm_tiled": lambda: tiled_spmm(blk, B, out, tile_cols=2048),
+        "spmm_scatter": lambda: spmm_scatter(S.rows, S.cols, S.vals, B, out),
         "fused_local": lambda: fusedmm_local(A, B, blk, np.zeros_like(A)),
         "unfused_pair": pair,
     }

@@ -14,10 +14,11 @@ GPU Kernels for Deep Learning"):
 * **Merge/nonzero-partitioned COO** for SDDMM-family kernels: ``prange``
   over nonzeros gives every thread an equal contiguous nonzero range (the
   merge-path equal-work split for edge-parallel kernels).  Where the
-  numpy path materializes gathered row blocks in ``_CHUNK``-sized pieces
-  to stay cache-resident, the compiled loop streams each edge's two rows
-  directly from A and B and materializes nothing — the cache blocking is
-  implicit in the per-thread contiguous nonzero range.
+  numpy path gathers row blocks in byte-budgeted chunks (512 KiB per
+  chunk, ``sddmm._chunk_nnz``) to stay cache-resident, the compiled
+  loop streams each edge's two rows directly from A and B and
+  materializes nothing — the cache blocking is implicit in the
+  per-thread contiguous nonzero range.
 
 ``fastmath`` is **off** everywhere and every reduction has a fixed
 left-to-right accumulation order.  Two kernels still cannot match the
@@ -26,8 +27,10 @@ implementation detail that varies with SIMD width and numpy version:
 
 * ``sddmm_coo`` — ``np.einsum("ij,ij->i")`` reduces each edge dot with
   SIMD partial accumulators (empirically ≠ any fixed sequential order);
-* ``spmm_scatter`` — ``np.add.reduceat`` segment sums are likewise not
-  plain left-to-right.
+* ``spmm_scatter`` — the numpy path builds a SciPy CSR per call, which
+  sums duplicate coordinates and then walks each row in ascending column
+  order; the compiled kernel below walks the coordinates in their input
+  order.
 
 For those two the registry documents a tight tolerance instead (error
 bounded by ``r * eps`` per reduced element); the equivalence suite gates
@@ -150,10 +153,11 @@ def _spmm_csr_add(indptr, indices, data, B, out):
 def _spmm_scatter_add(r_sorted, c_sorted, v_sorted, B, out, seg_starts):
     """Segment-summed ``out[row] += val * B[col]`` over row-sorted COO.
 
-    One ``prange`` iteration per output-row segment (the same segments
-    the numpy path feeds ``np.add.reduceat``); within a segment the
-    contributions accumulate left-to-right.  Nothing the size of the
-    numpy path's ``nnz x r`` ``contrib`` array is ever materialized.
+    One ``prange`` iteration per output-row segment of the stably
+    row-sorted coordinates; within a segment the contributions
+    accumulate left-to-right in input order.  The wrapper's argsort
+    yields the segments directly, so no per-call CSR is built (the
+    numpy path builds one instead).
     """
     nseg = seg_starts.shape[0] - 1
     r = B.shape[1]

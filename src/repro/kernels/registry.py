@@ -32,11 +32,15 @@ ceiling from the per-host microbenchmark calibration in
 fallback of ``sddmm_custom`` are bitwise-identical across backends.
 ``sddmm_coo``, ``spmm_scatter`` and the compiled
 :class:`~repro.kernels.sddmm.GatScoreOp` path of ``sddmm_custom`` carry
-a documented tolerance instead: their numpy formulations reduce through
-``np.einsum`` / ``np.add.reduceat`` / BLAS gemv, whose internal
-accumulation order depends on SIMD width and numpy/BLAS version and
-cannot be replicated portably (error bound ``O(r * eps)`` per reduced
-element; see ``backend_numba.py``).
+a documented tolerance instead.  The numpy ``sddmm_coo`` reduces each
+edge dot with ``np.einsum`` over byte-budgeted nonzero chunks, and the
+``GatScoreOp`` path with BLAS gemv; their internal accumulation order
+depends on SIMD width and numpy/BLAS version and cannot be replicated
+portably.  The numpy ``spmm_scatter`` builds a SciPy CSR per call and
+sums each output row in CSR row order (duplicate coordinates summed
+first, then ascending column), where the compiled kernel sums in the
+coordinates' input order.  Error bound ``O(r * eps)`` per reduced
+element; see ``backend_numba.py``.
 
 **Adding a third backend** (e.g. cupy): extend :data:`KERNEL_BACKENDS`,
 add an availability probe, and return an object from

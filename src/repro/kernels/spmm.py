@@ -3,7 +3,11 @@
 ``SpMMA(S, B) = S @ B`` and ``SpMMB(S, A) = S.T @ A`` over a
 :class:`~repro.sparse.coo.SparseBlock`.  The CSR structure of the block is
 cached (paper-style amortized preprocessing); each call is a single SciPy
-CSR matmul accumulated into the caller's output buffer.
+CSR matmul accumulated into the caller's output buffer.  The one-shot
+:func:`spmm_scatter` over transient coordinates builds its CSR per call:
+SciPy's O(nnz) COO-to-CSR conversion plus one CSR matmul beats a
+gather/segment-sum formulation, which materializes an ``nnz x r``
+contribution array.
 
 When the caller's profile carries a compiled kernel backend
 (``profile.kernels``), the CSR product runs through the backend's
@@ -20,6 +24,7 @@ import time
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.kernels.sddmm import _f64, _kernel_impl
 from repro.runtime.profile import RankProfile
@@ -95,26 +100,27 @@ def spmm_scatter(
     out: np.ndarray,
     profile: Optional[RankProfile] = None,
 ) -> np.ndarray:
-    """``out[rows] += vals * B[cols]`` without building a CSR.
+    """``out[rows] += vals * B[cols]`` on transient COO coordinates.
 
-    Used for one-shot products on transient coordinate chunks (circulating
-    sparse blocks visit a rank once per kernel call, so building a CSR
-    would not amortize).  Contributions of duplicate rows are summed.
+    Used for one-shot products on circulating sparse blocks, which visit
+    a rank once per kernel call.  The numpy path builds a SciPy CSR for
+    each call — the O(nnz) conversion costs a fraction of the product it
+    enables — and accumulates ``out += csr @ B`` in CSR row order.
+    Contributions of duplicate coordinates are summed.
     """
     nnz = len(rows)
     if nnz == 0:
         return out
     tracer = profile.tracer if profile is not None else None
     t0 = time.perf_counter() if tracer is not None else 0.0
-    # Sort by row so contributions can be segment-summed (np.add.at is
-    # an order of magnitude slower than this gather/reduce formulation).
-    order = np.argsort(rows, kind="stable")
-    r_sorted = rows[order]
-    boundaries = np.flatnonzero(np.diff(r_sorted)) + 1
-    segments = np.concatenate(([0], boundaries))
     impl = _kernel_impl(profile)
     if impl is not None and _f64(vals, B, out):
-        seg_starts = np.concatenate((segments, [nnz])).astype(np.int64)
+        # the compiled kernel walks row segments of the row-sorted COO
+        order = np.argsort(rows, kind="stable")
+        r_sorted = rows[order]
+        seg_starts = np.concatenate(
+            ([0], np.flatnonzero(np.diff(r_sorted)) + 1, [nnz])
+        ).astype(np.int64)
         impl.spmm_scatter_add(
             np.ascontiguousarray(r_sorted, dtype=np.int64),
             np.ascontiguousarray(cols[order], dtype=np.int64),
@@ -124,9 +130,8 @@ def spmm_scatter(
             seg_starts,
         )
     else:
-        contrib = vals[order, None] * B[cols[order]]
-        sums = np.add.reduceat(contrib, segments, axis=0)
-        out[r_sorted[segments]] += sums
+        M = sp.csr_matrix((vals, (rows, cols)), shape=(out.shape[0], B.shape[0]))
+        out += M @ B
     if profile is not None:
         profile.add_flops(spmm_flops(nnz, B.shape[1]))
         if tracer is not None:

@@ -14,7 +14,7 @@ host, so ``kernels="auto"``:
   at the rate the chosen kernels really run, not the assumed one.
 
 The cache is a JSON file keyed by a host fingerprint (hostname, CPU
-architecture, core count, numpy/numba versions).  Default location:
+architecture, core count, numpy/numba versions, kernel revision).  Default location:
 ``~/.cache/repro/kernel_calibration.json``; override with the
 ``REPRO_KERNEL_CALIBRATION`` environment variable (point it at a
 per-job path on shared filesystems).  A stale or unwritable cache is
@@ -46,6 +46,12 @@ _AVG_DEG = 16
 _R = 64
 _REPEATS = 3
 
+#: revision of the measured kernels' formulations, part of the host
+#: fingerprint: bump it whenever a change makes a kernel faster or slower
+#: so caches measured against the old code are re-measured (2: per-call
+#: CSR ``spmm_scatter`` and byte-budgeted SDDMM chunks)
+_KERNEL_REVISION = 2
+
 #: in-memory memo: calibration runs at most once per process per cache
 _MEMO: Dict[str, dict] = {}
 
@@ -73,6 +79,7 @@ def host_key() -> str:
             str(os.cpu_count()),
             f"numpy-{np.__version__}",
             f"numba-{numba_ver}",
+            f"kernels-{_KERNEL_REVISION}",
         )
     )
 

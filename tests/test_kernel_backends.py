@@ -9,11 +9,12 @@ Bitwise policy under test (see ``repro/kernels/registry.py``):
 callable ``sddmm_custom`` must be **bitwise identical** across backends.
 ``sddmm_coo``, ``spmm_scatter`` and the :class:`GatScoreOp` path of
 ``sddmm_custom`` carry a documented tolerance: their numpy formulations
-reduce through ``np.einsum`` / ``np.add.reduceat`` / BLAS gemv, whose
-internal accumulation order is SIMD-width- and library-version-dependent
-and cannot be replicated portably; the compiled kernels use a fixed
-left-to-right order, so the difference is bounded by ``O(r * eps)`` per
-reduced element.
+reduce through ``np.einsum`` / BLAS gemv, whose internal accumulation
+order is SIMD-width- and library-version-dependent and cannot be
+replicated portably, or through a per-call SciPy CSR (``spmm_scatter``),
+which sums each row in ascending column order; the compiled kernels use
+a fixed left-to-right order in input order, so the difference is bounded
+by ``O(r * eps)`` per reduced element.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for the local kernels: SDDMM, SpMM, fused, tiled variants."""
+"""Tests for the local kernels: SDDMM, SpMM and the fused local kernel."""
 
 from __future__ import annotations
 
@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.blocked import tiled_sddmm, tiled_spmm
 from repro.kernels.fused import fusedmm_local, fusedmm_reference
 from repro.kernels.sddmm import (
+    GatScoreOp,
+    _chunk_nnz,
     gat_edge_scores,
     make_gat_operands,
     sddmm_coo,
@@ -19,6 +20,29 @@ from repro.kernels.spmm import spmm_a_block, spmm_b_block, spmm_flops, spmm_scat
 from repro.runtime.profile import RankProfile
 from repro.sparse.coo import SparseBlock
 from repro.sparse.generate import erdos_renyi
+
+
+def _chunked_case(r, delta, pad=0):
+    """COO coordinates spanning three SDDMM chunks at width ``r``, plus
+    ``delta`` nonzeros, over dense operands of width ``r + pad``."""
+    nnz = 3 * _chunk_nnz(r) + delta
+    rng = np.random.default_rng(nnz)
+    m, n = 97, 89
+    rows = rng.integers(0, m, nnz)
+    cols = rng.integers(0, n, nnz)
+    A = rng.standard_normal((m, r + pad))
+    B = rng.standard_normal((n, r + pad))
+    return rows, cols, A, B
+
+
+def _dense_dots(A, B, rows, cols):
+    """Reference SDDMM dots read off the dense product ``A @ B.T``."""
+    return (A @ B.T)[rows, cols]
+
+
+def _assert_dots_close(got, ref, r):
+    """Reduction-order agreement: ``O(r * eps)`` of unit-scale products."""
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=r * 1e-14)
 
 
 @pytest.fixture
@@ -63,13 +87,40 @@ class TestSddmm:
             sddmm_coo(A, B, S.rows, S.cols, out=acc, accumulate=True, col_range=(k0, k0 + 4))
         np.testing.assert_allclose(acc, ref)
 
-    def test_chunking_path(self, problem, monkeypatch):
-        import repro.kernels.sddmm as mod
+    def test_chunking_path(self):
+        rows, cols, A, B = _chunked_case(r=64, delta=5)
+        got = sddmm_coo(A, B, rows, cols)
+        _assert_dots_close(got, _dense_dots(A, B, rows, cols), 64)
 
-        S, A, B, blk, ref = problem
-        monkeypatch.setattr(mod, "_CHUNK", 7)
-        got = sddmm_coo(A, B, S.rows, S.cols)
-        np.testing.assert_allclose(got, ref)
+    def test_chunk_sizes_follow_byte_budget(self):
+        # two float64 rows per nonzero fill 512 KiB, floored at 256
+        assert [_chunk_nnz(r) for r in (2, 16, 32, 64, 128, 1024)] == [
+            16384, 2048, 1024, 512, 256, 256,
+        ]
+
+    def test_zero_width_operands(self):
+        idx = np.array([0, 2, 1], dtype=np.int64)
+        got = sddmm_coo(np.zeros((3, 0)), np.zeros((3, 0)), idx, idx)
+        np.testing.assert_array_equal(got, 0.0)
+
+    @pytest.mark.parametrize("r", [2, 32, 64, 128])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_chunk_boundaries(self, r, delta):
+        """nnz at 3 chunks - 1 / exactly / + 1, with s_vals, accumulate and
+        a col_range strip of width r (the width that sizes the chunks)."""
+        rows, cols, A, B = _chunked_case(r, delta, pad=3)
+        rng = np.random.default_rng(r)
+        s_vals = rng.standard_normal(len(rows))
+        out = rng.standard_normal(len(rows))
+        start = out.copy()
+        sddmm_coo(A, B, rows, cols, s_vals=s_vals, out=out, accumulate=True,
+                  col_range=(1, r + 1))
+        strip = _dense_dots(A[:, 1 : r + 1], B[:, 1 : r + 1], rows, cols)
+        _assert_dots_close(out, (start + strip) * s_vals, r)
+        # the full width, overwriting a stale out
+        out = np.full(len(rows), 7.0)
+        sddmm_coo(A, B, rows, cols, out=out)
+        _assert_dots_close(out, _dense_dots(A, B, rows, cols), r + 3)
 
     def test_flop_accounting(self, problem):
         S, A, B, blk, _ = problem
@@ -98,6 +149,18 @@ class TestSddmm:
 
 
 class TestSddmmCustom:
+    @pytest.mark.parametrize("r", [2, 32, 64, 128])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_chunk_boundaries(self, r, delta):
+        rows, cols, A, B = _chunked_case(r, delta)
+        got = sddmm_custom(A, B, rows, cols, lambda a, b: np.einsum("ij,ij->i", a, b))
+        _assert_dots_close(got, _dense_dots(A, B, rows, cols), r)
+        rng = np.random.default_rng(r)
+        op = GatScoreOp(rng.standard_normal(r), rng.standard_normal(r), 0.2)
+        raw = (A @ op.a_row)[rows] + (B @ op.a_col)[cols]
+        ref = np.where(raw >= 0, raw, 0.2 * raw)
+        _assert_dots_close(sddmm_custom(A, B, rows, cols, op), ref, r)
+
     def test_custom_dot_equals_plain(self, problem):
         S, A, B, blk, ref = problem
         got = sddmm_custom(
@@ -173,6 +236,38 @@ class TestSpmm:
         np.testing.assert_allclose(out[1], B[0] + 2 * B[2] + 3 * B[3])
         np.testing.assert_allclose(out[0], 0)
 
+    def test_spmm_scatter_float32_vals_integer_b(self, problem, rng):
+        S, _, _, _, _ = problem
+        vals = S.vals.astype(np.float32)
+        B = rng.integers(-5, 6, size=(S.ncols, 4))
+        out = np.zeros((S.nrows, 4))
+        spmm_scatter(S.rows, S.cols, vals, B, out)
+        ref = S.with_values(vals.astype(np.float64)).to_scipy() @ B.astype(np.float64)
+        np.testing.assert_allclose(out, ref, rtol=1e-12)
+
+    def test_spmm_scatter_operands_taller_than_coordinates(self, rng):
+        rows = np.array([0, 2, 2, 1], dtype=np.int64)
+        cols = np.array([3, 0, 3, 1], dtype=np.int64)
+        vals = np.array([1.0, -2.0, 0.5, 4.0])
+        B = rng.standard_normal((9, 3))  # rows 4..8 are never referenced
+        out = np.ones((6, 3))  # rows 3..5 receive nothing
+        spmm_scatter(rows, cols, vals, B, out)
+        ref = np.ones((6, 3))
+        for i, j, v in zip(rows, cols, vals):
+            ref[i] += v * B[j]
+        np.testing.assert_allclose(out, ref, rtol=1e-14)
+        np.testing.assert_array_equal(out[3:], 1.0)
+
+    def test_spmm_scatter_repeatable_bitwise(self, rng):
+        rows = rng.integers(0, 50, 4000)
+        cols = rng.integers(0, 60, 4000)
+        vals = rng.standard_normal(4000)
+        B = rng.standard_normal((60, 16))
+        first, second = np.zeros((50, 16)), np.zeros((50, 16))
+        spmm_scatter(rows, cols, vals, B, first)
+        spmm_scatter(rows, cols, vals, B, second)
+        np.testing.assert_array_equal(first, second)
+
     def test_flops(self):
         assert spmm_flops(100, 8) == 1600
 
@@ -213,31 +308,3 @@ class TestFusedLocal:
         S, A, B, blk, _ = problem
         with pytest.raises(ValueError):
             fusedmm_reference(S.rows, S.cols, S.vals, A, B, S.shape, "c")
-
-
-class TestTiledKernels:
-    @pytest.mark.parametrize("tile", [1, 4, 16, 1000])
-    def test_tiled_spmm(self, problem, tile):
-        S, A, B, blk, _ = problem
-        out = np.zeros((S.nrows, B.shape[1]))
-        tiled_spmm(blk, B, out, tile_cols=tile)
-        np.testing.assert_allclose(out, S.to_scipy() @ B)
-
-    @pytest.mark.parametrize("tile", [1, 4, 16, 1000])
-    def test_tiled_sddmm(self, problem, tile):
-        S, A, B, blk, ref = problem
-        got = tiled_sddmm(A, B, blk, tile_cols=tile)
-        np.testing.assert_allclose(got, S.vals * ref)
-
-    def test_tiled_sddmm_pattern_only(self, problem):
-        S, A, B, blk, ref = problem
-        got = tiled_sddmm(A, B, blk, tile_cols=8, use_values=False)
-        np.testing.assert_allclose(got, ref)
-
-    def test_tiled_empty(self, rng):
-        e = np.empty(0, np.int64)
-        blk = SparseBlock(e, e, np.empty(0), (5, 5))
-        out = np.zeros((5, 2))
-        tiled_spmm(blk, rng.standard_normal((5, 2)), out)
-        np.testing.assert_allclose(out, 0)
-        assert tiled_sddmm(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)), blk).shape == (0,)
