@@ -220,29 +220,6 @@ class MpiTransport(Transport):
         self._sends = []
 
 
-class _SettledFuture:
-    """Pre-settled stand-in for :class:`~repro.runtime.spmd.PoolFuture`.
-
-    The MPI pool executes eagerly inside :meth:`MpiWorkerPool.run_async`
-    (cross-call pipelining is a thread-backend feature for now — see
-    ``ARCHITECTURE.md``), so its futures are born settled and
-    :meth:`wait` just replays the outcome.
-    """
-
-    __slots__ = ("_results", "_report")
-
-    def __init__(self, results: List[Any], report: RunReport) -> None:
-        self._results = results
-        self._report = report
-
-    @property
-    def done(self) -> bool:
-        return True
-
-    def wait(self) -> Tuple[List[Any], RunReport]:
-        return self._results, self._report
-
-
 class MpiWorkerPool:
     """Rank-resident process pool: the ``backend="mpi"`` WorkerPool.
 
@@ -374,20 +351,6 @@ class MpiWorkerPool:
             if rr != r:
                 profiles[rr].set_counter_state(counter_state)
         return results, RunReport(per_rank=profiles, label=label)
-
-    def run_async(
-        self,
-        rank_fn,
-        profiles: Optional[List[RankProfile]] = None,
-        label: str = "",
-        deadline_ms: Optional[float] = None,
-    ) -> _SettledFuture:
-        """Eager dispatch: runs the item to completion and returns a
-        pre-settled future (errors raise here, not at ``wait``)."""
-        results, report = self.run(
-            rank_fn, profiles=profiles, label=label, deadline_ms=deadline_ms
-        )
-        return _SettledFuture(results, report)
 
     def close(self, timeout: float = 30.0) -> None:
         """Seal the pool and complete in-flight sends.  Idempotent.

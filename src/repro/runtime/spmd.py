@@ -39,8 +39,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ReproError, SpmdAbort, SpmdTimeout
 from repro.runtime.backend import World, validate_backend_name
@@ -53,10 +52,10 @@ RankFn = Callable[[Communicator], Any]
 def _chained(error: BaseException, cause: BaseException) -> BaseException:
     """Attach ``cause`` as the explicit chain of ``error``.
 
-    Driver-side wrappers (head failures *and* poisoned pipeline futures)
-    all chain the originating rank exception, so the root-cause traceback
-    — including the failing rank's own frames — survives into the caller
-    instead of being flattened into a ``repr`` string.
+    The driver-side wrapper chains the originating rank exception, so the
+    root-cause traceback — including the failing rank's own frames —
+    survives into the caller instead of being flattened into a ``repr``
+    string.
     """
     error.__cause__ = cause
     return error
@@ -125,61 +124,6 @@ class _WorkItem:
         self.post_ts = time.perf_counter()
 
 
-class PoolFuture:
-    """Handle for a work item dispatched with :meth:`WorkerPool.run_async`.
-
-    :meth:`wait` blocks until the item (and, for correct failure recovery,
-    every item dispatched before it) has finished, then returns
-    ``(results, report)`` or raises.  If an *earlier* pipelined item
-    failed, the pool recovers once and every later in-flight future —
-    whose ranks unwound through the aborted world — raises a poisoned
-    error naming the original failure; results of aborted items are never
-    returned.  Waiting is idempotent: repeated calls return the cached
-    outcome (or re-raise the cached error).
-    """
-
-    __slots__ = ("_pool", "_item", "_label", "_done", "_error", "_results", "_report")
-
-    def __init__(self, pool: "WorkerPool", item: _WorkItem, label: str) -> None:
-        self._pool = pool
-        self._item = item
-        self._label = label
-        self._done = False
-        self._error: Optional[BaseException] = None
-        self._results: Optional[List[Any]] = None
-        self._report: Optional[RunReport] = None
-
-    @property
-    def done(self) -> bool:
-        """True once the outcome (success or failure) is settled."""
-        return self._done
-
-    def wait(self) -> Tuple[List[Any], RunReport]:
-        if not self._done:
-            self._pool._finish(self)
-        if self._error is not None:
-            raise self._error
-        assert self._results is not None and self._report is not None
-        return self._results, self._report
-
-    def _settle_ok(self) -> None:
-        # outcome fields are published BEFORE the done flag: wait() reads
-        # _done without the pool lock, so a concurrent waiter that sees it
-        # set must already see the settled results/error.  The work item
-        # (and with it the rank_fn closure) is dropped on settlement —
-        # the same GC discipline as the worker loop's `del item` — so a
-        # caller retaining consumed futures pins no per-call closures.
-        self._results = self._item.results
-        self._report = RunReport(per_rank=self._item.profiles, label=self._label)
-        self._item = None
-        self._done = True
-
-    def _settle_error(self, error: BaseException) -> None:
-        self._error = error
-        self._item = None
-        self._done = True
-
-
 class WorkerPool:
     """Persistent SPMD worker pool: one world, ``p`` resident rank threads.
 
@@ -217,8 +161,8 @@ class WorkerPool:
             raise ValueError(f"worker pool needs at least one rank, got {nranks}")
         self.nranks = nranks
         self.name = name
-        #: default per-item deadline (:meth:`run`/:meth:`run_async` may
-        #: override per call); ``None`` disables the watchdog
+        #: default per-item deadline (:meth:`run` may override per call);
+        #: ``None`` disables the watchdog
         self.deadline_ms = deadline_ms
         self.world = World(nranks, faults=faults)
         # one rank-bound fault view per rank, attached to each item's
@@ -236,7 +180,6 @@ class WorkerPool:
             queue.SimpleQueue() for _ in range(nranks)
         ]
         self._run_lock = threading.Lock()
-        self._pending: Deque[PoolFuture] = deque()  # dispatched, not yet settled
         self._closed = False
         self._threads: List[threading.Thread] = []
         if nranks > 1:
@@ -309,12 +252,6 @@ class WorkerPool:
         """The persistent communicator of ``rank`` (for introspection)."""
         return self._comms[rank]
 
-    #: in-flight pipeline depth: one running item plus one queued behind it
-    #: (the session's cross-call double buffer — the dense scatter of call
-    #: k+1 is staged while call k runs; deeper queues would only add
-    #: poisoning surface without more driver-side overlap to win)
-    MAX_INFLIGHT = 2
-
     def run(
         self,
         rank_fn: RankFn,
@@ -326,32 +263,12 @@ class WorkerPool:
 
         Same contract as :func:`run_spmd`: returns ``(results, report)``,
         re-raises the lowest-rank error as ``RuntimeError`` after all
-        ranks finished unwinding — except deadline expiries, which
-        re-raise as :class:`~repro.errors.SpmdTimeout` carrying the
-        per-rank blocked-state dump.  ``deadline_ms`` overrides the
-        pool's default watchdog horizon for this item.
-        """
-        return self.run_async(
-            rank_fn, profiles=profiles, label=label, deadline_ms=deadline_ms
-        ).wait()
-
-    def run_async(
-        self,
-        rank_fn: RankFn,
-        profiles: Optional[List[RankProfile]] = None,
-        label: str = "",
-        deadline_ms: Optional[float] = None,
-    ) -> PoolFuture:
-        """Dispatch ``rank_fn(comm)`` without waiting: the second slot.
-
-        The per-rank FIFO queues pipeline the item behind whatever is
-        currently running, so the driver is free to overlap its own work
-        (staging the next call's dense scatter, collecting the previous
-        output) with the in-flight SPMD run.  At most :data:`MAX_INFLIGHT`
-        items may be unsettled at once; dispatching beyond that first
-        waits out the oldest.  On a single-rank pool the item runs inline
-        immediately (no threads exist) and errors propagate raw, matching
-        the historical fast path.
+        ranks finished unwinding and the pool recovered — except deadline
+        expiries, which re-raise as :class:`~repro.errors.SpmdTimeout`
+        carrying the per-rank blocked-state dump.  ``deadline_ms``
+        overrides the pool's default watchdog horizon for this item.  On a
+        single-rank pool the item runs inline (no threads exist) and
+        errors propagate raw, matching the historical fast path.
         """
         if self._closed:
             raise ReproError("worker pool is closed; dispatch is not possible")
@@ -369,104 +286,37 @@ class WorkerPool:
                 if self._rank_faults is not None:
                     profiles[0].faults = self._rank_faults[0]
                 self.world.active_profiles[0] = profiles[0]
-                item = _WorkItem(rank_fn, profiles, 1, label)
-                future = PoolFuture(self, item, label)
                 tracer = profiles[0].tracer
                 if tracer is not None:
                     with tracer.region(f"run {label}".rstrip(), "pool"):
-                        item.results[0] = rank_fn(comm)  # errors propagate raw
+                        result = rank_fn(comm)  # errors propagate raw
                 else:
-                    item.results[0] = rank_fn(comm)  # errors propagate raw
-                future._settle_ok()
-                return future
+                    result = rank_fn(comm)  # errors propagate raw
+                return [result], RunReport(per_rank=profiles, label=label)
 
-        while True:
-            with self._run_lock:
-                if len(self._pending) < self.MAX_INFLIGHT:
-                    item = _WorkItem(rank_fn, profiles, self.nranks, label)
-                    future = PoolFuture(self, item, label)
-                    if deadline_ms is not None:
-                        # one horizon for everything in flight: a later
-                        # pipelined item can only extend it (ranks check
-                        # the world's single deadline inside blocked
-                        # receives); it is cleared when the pipe drains
-                        horizon = time.perf_counter() + deadline_ms / 1e3
-                        cur = self.world.deadline
-                        self.world.deadline = (
-                            horizon if cur is None else max(cur, horizon)
-                        )
-                    self._pending.append(future)
-                    for q in self._queues:
-                        q.put(item)
-                    return future
-                oldest = self._pending[0]
-            # settle the oldest outside the dispatch lock, then retry;
-            # its error (if any) surfaces at *its* wait(), not here
-            try:
-                oldest.wait()
-            except Exception:
-                pass
-
-    def _finish(self, future: PoolFuture) -> None:
-        """Settle ``future`` (and every item dispatched before it).
-
-        Ranks process their queues in FIFO order, so when ``future``'s
-        latch has counted down, every earlier item's latch has too —
-        settlement simply walks the pending deque in dispatch order.  On
-        the first failed item, every *later* in-flight item is drained and
-        poisoned as well (its ranks ran against the aborted world, so its
-        results are not trustworthy), and the world is recovered exactly
-        once, after every dispatched rank body has finished unwinding.
-        """
-        item = future._item
-        if item is not None:  # None: settled concurrently (under the lock)
-            item.latch.wait()
         with self._run_lock:
-            if future._done:  # settled by a concurrent waiter
-                return
-            while self._pending and not future._done:
-                head = self._pending[0]
-                head._item.latch.wait()  # done already; FIFO guarantees it
-                if head._item.errors:
-                    # drain everything dispatched behind the failure, then
-                    # recover the world exactly once
-                    for f in self._pending:
-                        f._item.latch.wait()
-                    rank, exc = min(head._item.errors, key=lambda e: e[0])
-                    if isinstance(exc, SpmdTimeout):
-                        # deadline expiries stay typed, carrying the
-                        # blocked-state dump taken at the moment the
-                        # watchdog fired
-                        error = _chained(
-                            SpmdTimeout(
-                                f"SPMD rank {rank} timed out: {exc}"
-                                + _format_dump(exc.dump),
-                                dump=exc.dump,
-                            ),
-                            exc,
-                        )
-                    else:
-                        error = _chained(
-                            RuntimeError(f"SPMD rank {rank} failed: {exc!r}"), exc
-                        )
-                    head._settle_error(error)
-                    for f in list(self._pending)[1:]:
-                        poisoned = _chained(
-                            RuntimeError(
-                                f"SPMD item {f._label or 'unnamed'!r} aborted: "
-                                f"an earlier pipelined item failed "
-                                f"(rank {rank}: {exc!r})"
-                            ),
-                            exc,
-                        )
-                        f._settle_error(poisoned)
-                    self._pending.clear()
-                    self._recover()
-                else:
-                    head._settle_ok()
-                    self._pending.popleft()
-            if not self._pending:
-                self.world.deadline = None  # the pipe drained; disarm
+            item = _WorkItem(rank_fn, profiles, self.nranks, label)
+            if deadline_ms is not None:
+                self.world.deadline = time.perf_counter() + deadline_ms / 1e3
+            for q in self._queues:
+                q.put(item)
+            item.latch.wait()
+            self.world.deadline = None
+            if not item.errors:
+                return item.results, RunReport(per_rank=profiles, label=label)
+            rank, exc = min(item.errors, key=lambda e: e[0])
+            self._recover()
+        if isinstance(exc, SpmdTimeout):
+            # deadline expiries stay typed, carrying the blocked-state
+            # dump taken at the moment the watchdog fired
+            raise _chained(
+                SpmdTimeout(
+                    f"SPMD rank {rank} timed out: {exc}" + _format_dump(exc.dump),
+                    dump=exc.dump,
+                ),
+                exc,
+            )
+        raise _chained(RuntimeError(f"SPMD rank {rank} failed: {exc!r}"), exc)
 
     def _recover(self) -> None:
         """Return the pool to a clean state after a failed item.

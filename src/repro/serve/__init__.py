@@ -2,9 +2,9 @@
 
 The serving subsystem turns per-user requests into the dense operand
 panels the resident kernels already eat (ROADMAP item 3): requests for
-the same model coalesce into one panel and **one** ``Session`` call, run
-on a fleet of resident sessions with pipelined (async) dispatch,
-admission control, per-request deadlines on PR 7's watchdog/outcome
+the same model coalesce into one panel and **one** synchronous
+``Session`` call, run on a fleet of resident sessions, with admission
+control, per-request deadlines on the session watchdog/outcome
 machinery, and p50/p95/p99 + throughput reporting.
 
 Layers (each its own module):
@@ -14,8 +14,8 @@ Layers (each its own module):
   (concrete models: :class:`repro.apps.als.AlsServeModel`,
   :class:`repro.apps.gat.GatServeModel`)
 * :mod:`~repro.serve.batcher` — coalescing windows + admission control
-* :mod:`~repro.serve.fleet` — session replicas, round-robin pipelined
-  dispatch, per-tenant value rebinding
+* :mod:`~repro.serve.fleet` — session replicas, round-robin
+  synchronous dispatch, per-tenant value rebinding
 * :mod:`~repro.serve.stats` — latency percentiles, batch histograms,
   throughput, outcome counts
 * :mod:`~repro.serve.server` — the front door, :class:`Server`

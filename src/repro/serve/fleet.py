@@ -1,51 +1,39 @@
-"""Session fleet: resident replicas per model with pipelined dispatch.
+"""Session fleet: resident replicas per model with synchronous dispatch.
 
 One :class:`SessionFleet` owns ``replicas`` resident
 :class:`~repro.session.Session`\\ s for a single model.  Batches are
-dispatched round-robin with the sessions' *async* entry points
-(``spmm_a_async`` / ``sddmm_async`` — PR 5's pipelining), and the
-previous batch on a session is settled only **after** the next one is
-launched: the launch path stages the new panel's dense scatter while the
-old batch's SPMD ranks are still computing, so even a single-replica
-fleet double-buffers (driver scatter of batch ``k+1`` hidden under batch
-``k``'s run).
+dispatched round-robin; each batch is one synchronous session call
+(``spmm_a`` / ``sddmm``) and is settled as soon as that call returns.
+The batched-inference win comes from coalescing many requests into one
+panel, not from overlapping consecutive calls.  Because every batch goes
+through the session's ordinary call path, the session's retry and
+graceful-degradation machinery (``retries=``) applies to served batches
+exactly as to direct kernel calls, and the call's outcome (``"ok"`` /
+``"retried"`` / ``"degraded"``) is what the batch's completions report.
 
 Multi-tenancy rides on ``Session.update_values``: all tenants of a model
 share one planned sparse *structure* (comm plans and packed indexes stay
 valid); when the dispatched batch's tenant differs from the session's
 currently-bound tenant, only the values are rebound in place.
 
-Per-request deadlines propagate onto PR 7's machinery: the batch's
+Per-request deadlines propagate onto the pool watchdog: the batch's
 session call is armed with the largest remaining member budget
-(``Session.set_deadline`` → pool watchdog), and members whose own budget
-lapsed by settle time are completed with outcome ``"timeout"`` — the
-rest of the batch settles normally.
+(``Session.set_deadline``), and members whose own budget lapsed by
+settle time are completed with outcome ``"timeout"`` — the rest of the
+batch settles normally.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.errors import ReproError, SpmdTimeout
 from repro.serve.model import ServeModel
 from repro.serve.request import Completion, Envelope, batch_deadline_ms
-from repro.session import Session, SessionFuture
+from repro.session import Session
 
-__all__ = ["SessionFleet", "Ticket"]
-
-
-@dataclass
-class Ticket:
-    """One in-flight batch: its envelopes and the session future."""
-
-    envelopes: List[Envelope]
-    future: SessionFuture
-    session_index: int
-    tenant_id: str
-    deadline_ms: Optional[float] = None
-    settled: bool = field(default=False)
+__all__ = ["SessionFleet"]
 
 
 class SessionFleet:
@@ -65,102 +53,48 @@ class SessionFleet:
             model.make_session() for _ in range(replicas)
         ]
         self._bound_tenant = ["default"] * replicas
-        self._tickets: List[Optional[Ticket]] = [None] * replicas
         self._rr = 0
         self._closed = False
 
-    # -- dispatch -------------------------------------------------------
-
     def dispatch(self, batch: List[Envelope]) -> None:
-        """Launch one coalesced batch on the next round-robin session.
-
-        Any previously in-flight batch on that session is settled *after*
-        the new launch (see module docstring), and every settlement is
-        delivered through ``on_complete``.
-        """
+        """Run one coalesced batch on the next round-robin session and
+        deliver every member's completion through ``on_complete``."""
         if self._closed:
             raise ReproError("fleet is closed")
         if not batch:
             return
         idx = self._rr
         self._rr = (self._rr + 1) % len(self.sessions)
-        prev = self._tickets[idx]
-        self._tickets[idx] = None
+        sess = self.sessions[idx]
+        requests = [env.request for env in batch]
         now = time.perf_counter()
         for env in batch:
             env.t_dispatch = now
-        deadline = batch_deadline_ms(batch, now)
-
-        try:
-            ticket = self._launch(idx, batch, deadline)
-        except Exception:
-            # the raised error belongs to the *previous* in-flight batch
-            # (launching waits it out internally): settle it as failed,
-            # then give this batch one clean attempt on the recovered
-            # session — a predecessor's fault must not poison it
-            if prev is not None:
-                self._settle(prev)
-                prev = None
-            try:
-                ticket = self._launch(idx, batch, deadline)
-            except Exception as exc:  # noqa: BLE001 - terminal for batch
-                self._fail_batch(batch, idx, exc)
-                return
-        self._tickets[idx] = ticket
-        if prev is not None:
-            # already finalized inside the launch's pipeline wait; this
-            # just classifies and delivers — it does not block the pipe
-            self._settle(prev)
-
-    def _launch(
-        self, idx: int, batch: List[Envelope], deadline: Optional[float]
-    ) -> Ticket:
-        sess = self.sessions[idx]
-        tenant = batch[0].request.tenant_id
-        if tenant != self._bound_tenant[idx]:
-            vals = self.model.tenant_values(tenant)
-            if vals is not None:
-                sess.update_values(vals)
-            self._bound_tenant[idx] = tenant
-        sess.set_deadline(deadline)
-        panel = self.model.encode([env.request for env in batch])
-        future = self.model.dispatch(sess, panel)
-        return Ticket(
-            envelopes=batch, future=future, session_index=idx,
-            tenant_id=tenant, deadline_ms=deadline,
-        )
-
-    # -- settlement -----------------------------------------------------
-
-    def _settle(self, ticket: Ticket) -> None:
-        """Wait the ticket's call, decode, classify and deliver."""
-        if ticket.settled:
-            return
-        ticket.settled = True
-        requests = [env.request for env in ticket.envelopes]
         error: Optional[BaseException] = None
         results: List = []
-        retries = 0
         try:
-            raw, _report = ticket.future.result()
+            tenant = requests[0].tenant_id
+            if tenant != self._bound_tenant[idx]:
+                vals = self.model.tenant_values(tenant)
+                if vals is not None:
+                    sess.update_values(vals)
+                self._bound_tenant[idx] = tenant
+            sess.set_deadline(batch_deadline_ms(batch, now))
+            raw, _report = self.model.dispatch(sess, self.model.encode(requests))
             results = self.model.decode(raw, requests)
         except Exception as exc:  # noqa: BLE001 - classified below
             error = exc
         now = time.perf_counter()
-        batch_outcome = "ok"
+        retries = 0
         if error is not None:
-            batch_outcome = (
-                "timeout" if isinstance(error, SpmdTimeout) else "failed"
-            )
+            batch_outcome = "timeout" if isinstance(error, SpmdTimeout) else "failed"
         else:
-            # the session's own per-call record for this future (appended
-            # at finalize) carries retry/degradation outcomes for the
-            # synchronous fallback path; async launches have none
-            last = self.sessions[ticket.session_index]._metrics
-            if last:
-                batch_outcome = last[-1].get("outcome", "ok")
-                retries = int(last[-1].get("retries", 0))
-        for i, env in enumerate(ticket.envelopes):
+            # the session's own record of this call carries its
+            # retry/degradation outcome
+            last = sess._metrics[-1]
+            batch_outcome = last["outcome"]
+            retries = int(last["retries"])
+        for i, env in enumerate(batch):
             if error is None and env.expired(now):
                 outcome = "timeout"
                 value = None
@@ -172,58 +106,24 @@ class SessionFleet:
                 outcome = batch_outcome
                 value = results[i] if error is None else None
                 err_msg = repr(error) if error is not None else None
-            self._deliver(env, outcome, value, err_msg, ticket, now, retries)
-
-    def _fail_batch(
-        self, batch: List[Envelope], idx: int, exc: BaseException
-    ) -> None:
-        now = time.perf_counter()
-        outcome = "timeout" if isinstance(exc, SpmdTimeout) else "failed"
-        ticket = Ticket(
-            envelopes=batch, future=None, session_index=idx,  # type: ignore[arg-type]
-            tenant_id=batch[0].request.tenant_id,
-        )
-        for env in batch:
-            self._deliver(env, outcome, None, repr(exc), ticket, now, 0)
-
-    def _deliver(
-        self,
-        env: Envelope,
-        outcome: str,
-        value,
-        err_msg: Optional[str],
-        ticket: Ticket,
-        now: float,
-        retries: int,
-    ) -> None:
-        completion = Completion(
-            request=env.request,
-            outcome=outcome,
-            value=value,
-            error=err_msg,
-            queue_ms=(env.t_dispatch - env.t_submit) * 1e3,
-            service_ms=(now - env.t_dispatch) * 1e3,
-            latency_ms=(now - env.t_submit) * 1e3,
-            batch_size=len(ticket.envelopes),
-            session_index=ticket.session_index,
-            retries=retries,
-        )
-        env.future._settle(completion)
-        self.on_complete(completion)
-
-    # -- draining / lifecycle -------------------------------------------
-
-    def settle_all(self) -> None:
-        """Settle every in-flight batch (the fleet goes quiescent)."""
-        for idx, ticket in enumerate(self._tickets):
-            if ticket is not None:
-                self._tickets[idx] = None
-                self._settle(ticket)
+            completion = Completion(
+                request=env.request,
+                outcome=outcome,
+                value=value,
+                error=err_msg,
+                queue_ms=(env.t_dispatch - env.t_submit) * 1e3,
+                service_ms=(now - env.t_dispatch) * 1e3,
+                latency_ms=(now - env.t_submit) * 1e3,
+                batch_size=len(batch),
+                session_index=idx,
+                retries=retries,
+            )
+            env.future._settle(completion)
+            self.on_complete(completion)
 
     def session_metrics(self) -> List[dict]:
         """Per-call metrics records of every replica, tagged with the
-        session index (PR 6/7 observability).  Finalizes in-flight calls,
-        so call on a quiescent fleet (after :meth:`settle_all`)."""
+        session index."""
         records: List[dict] = []
         for idx, sess in enumerate(self.sessions):
             for rec in sess.metrics():
@@ -231,11 +131,10 @@ class SessionFleet:
         return records
 
     def close(self) -> None:
-        """Settle outstanding batches, then drain and join every session
-        (thread-leak gated by the sessions' counter-asserted pool join)."""
+        """Drain and join every session (thread-leak gated by the
+        sessions' counter-asserted pool join)."""
         if self._closed:
             return
-        self.settle_all()
         for sess in self.sessions:
             sess.close()
         self._closed = True

@@ -21,12 +21,13 @@ batched-vs-unbatched bitwise-equality tests meaningful.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.runtime.profile import RunReport
 from repro.serve.request import Request
-from repro.session import Session, SessionFuture
+from repro.session import Session
 
 __all__ = ["ServeModel"]
 
@@ -56,8 +57,8 @@ class ServeModel(ABC):
         """Coalesce up to ``batch_width`` requests into one dense panel."""
 
     @abstractmethod
-    def dispatch(self, sess: Session, panel: np.ndarray) -> SessionFuture:
-        """Launch the panel's single kernel call, pipelined (async)."""
+    def dispatch(self, sess: Session, panel: np.ndarray) -> Tuple[Any, RunReport]:
+        """Run the panel's single kernel call; returns ``(raw, report)``."""
 
     @abstractmethod
     def decode(self, raw: Any, requests: Sequence[Request]) -> List[Any]:

@@ -111,9 +111,8 @@ class ServeFuture:
     """Client-side handle for one submitted request.
 
     Settled exactly once by the server's dispatch path; ``result()``
-    blocks until then.  Unlike :class:`~repro.session.SessionFuture`,
-    waiting on this from any thread is safe — settlement happens on the
-    serving side, the client only observes it.
+    blocks until then.  Waiting on this from any thread is safe —
+    settlement happens on the serving side, the client only observes it.
     """
 
     __slots__ = ("request", "_event", "_completion")

@@ -41,13 +41,12 @@ build a throwaway session per call.
 
 from __future__ import annotations
 
-import copy
 import json
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -284,71 +283,6 @@ class _Orientation:
     contexts: List = None
 
 
-class SessionFuture:
-    """Handle for a kernel call pipelined with :meth:`Session.fusedmm_a_async`.
-
-    :meth:`result` blocks until the SPMD run finished, gathers the output
-    from the resident blocks, and returns ``(output, RunReport)`` (plus
-    the reassembled SDDMM intermediate when requested) — exactly what the
-    synchronous kernel method would have returned.  The session finalizes
-    a future automatically before any later call touches the resident
-    state, so outputs are never clobbered by the next call's dense
-    scatter; ``result()`` then simply returns the cached outcome.  Errors
-    from the SPMD run surface here (and, if unconsumed, at the next
-    session call).
-    """
-
-    __slots__ = (
-        "_session",
-        "_pool_future",
-        "_collect",
-        "_done",
-        "_error",
-        "_value",
-        "_metrics_label",
-        "_metrics_t0",
-    )
-
-    def __init__(self, session: "Session", pool_future, collect: Callable) -> None:
-        self._session = session
-        self._pool_future = pool_future
-        self._collect = collect
-        self._done = False
-        self._error: Optional[BaseException] = None
-        self._value = None
-        # per-call metrics bookkeeping, settled by the session at finalize
-        self._metrics_label: Optional[str] = None
-        self._metrics_t0: float = 0.0
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def result(self):
-        self._session._finalize(self)
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def _finalize_now(self) -> None:
-        """Wait the SPMD run and collect while the resident blocks still
-        hold this call's output.  Called by the session, exactly once."""
-        if self._done:
-            return
-        self._done = True
-        try:
-            self._pool_future.wait()
-            self._value = self._collect()
-        except BaseException as exc:  # noqa: BLE001 - stored and re-raised
-            self._error = exc
-            raise
-        finally:
-            # drop closure/pool references: consumed futures must pin no
-            # per-call staging state or rank_fn closures
-            self._collect = None
-            self._pool_future = None
-
-
 class Session:
     """Resident distributed state for repeated kernel calls.
 
@@ -570,8 +504,6 @@ class Session:
         #: — the counters the skip-rebind guarantee is asserted on
         self.dense_bind_counts: Dict[str, int] = {"a": 0, "b": 0}
         self.dense_bind_skips: Dict[str, int] = {"a": 0, "b": 0}
-        # cross-call pipeline: the one in-flight async kernel call
-        self._inflight: Optional[SessionFuture] = None
         # sessions are single-caller by design: every public entry point
         # try-acquires this gate and raises SessionBusyError on genuine
         # concurrency (reentrant, so kernel methods may compose freely on
@@ -608,9 +540,8 @@ class Session:
 
         ``None`` disarms the watchdog.  Serving front-ends use this to
         propagate per-request deadline budgets onto each batch's session
-        call; the resident worker pool picks the new horizon up on its
-        next dispatched item (the in-flight item keeps the horizon it was
-        dispatched with).
+        call; the resident worker pool arms the new horizon on its next
+        dispatched item.
         """
         with self._exclusive():
             if deadline_ms is not None and deadline_ms <= 0:
@@ -740,7 +671,6 @@ class Session:
         """
         with self._exclusive():
             self._check_open()
-            self._wait_inflight()
             vals = np.asarray(vals, dtype=np.float64)
             if vals.shape != (self.S.nnz,):
                 raise ReproError(
@@ -823,58 +753,14 @@ class Session:
         with self._ctx_lock:
             self._context_builds[transpose] = self._context_builds.get(transpose, 0) + 1
 
-    # ------------------------------------------------------------------
-    # cross-call pipeline plumbing
-    # ------------------------------------------------------------------
-
-    def _finalize(self, future: SessionFuture) -> None:
-        """Settle a pipelined call: wait its SPMD run and collect its
-        output before anything else touches the resident blocks.
-
-        Takes the call gate: ``SessionFuture.result()`` is a public entry
-        point, so settling a future from a second thread while the owning
-        thread is mid-call is concurrent driving and raises
-        :class:`~repro.errors.SessionBusyError` like any other call.
-        """
-        with self._exclusive():
-            self._finalize_locked(future)
-
-    def _finalize_locked(self, future: SessionFuture) -> None:
-        if future is self._inflight:
-            self._inflight = None
-        try:
-            future._finalize_now()
-        except Exception as exc:
-            # a failed item may have interrupted a collective context
-            # build; drop all resident contexts so the next call rebuilds
-            # them consistently on the recovered pool (the realigned split
-            # counters guarantee fresh communicator ids)
-            self._drop_contexts()
-            if future._metrics_label is not None:
-                self._record_call(
-                    future._metrics_label,
-                    future._metrics_t0,
-                    outcome=self._failure_outcome(exc),
-                )
-                future._metrics_label = None
-            raise
-        if future._metrics_label is not None:
-            # settle the async call's metrics record exactly once, now
-            # that its counters stopped moving
-            self._record_call(future._metrics_label, future._metrics_t0)
-            future._metrics_label = None
-
-    def _wait_inflight(self) -> None:
-        if self._inflight is not None:
-            self._finalize(self._inflight)
-
     def _drop_contexts(self) -> None:
         """Failure recovery: force full rebuilds on the next call.
 
         Clears the resident contexts *and* the dense-operand snapshots — a
-        failed item may have overwritten resident blocks mid-kernel (or
-        died before a staged bind was promoted), so no side may claim to
-        still hold its last-bound operand.
+        failed item may have overwritten resident blocks mid-kernel, so no
+        side may claim to still hold its last-bound operand.  The realigned
+        split counters of the recovered pool guarantee fresh communicator
+        ids for the rebuilt contexts.
         """
         for o in self._orients.values():
             o.contexts = [None] * self.p
@@ -947,46 +833,19 @@ class Session:
             return
         self._alg.bind_dense(ori.plan, ori.locals_, A_arg, B_arg)
 
-    def _stage_operands(self, ori: _Orientation, transpose: bool, A, B):
-        """Compute the dense scatter into *staged* shallow copies of the
-        rank locals, without touching the resident blocks.
-
-        This is the pipelined half of ``bind``: it runs while the previous
-        call's SPMD ranks are still computing (they only ever read/rebind
-        the real locals' dense fields, which staging never writes), and
-        :meth:`_promote_staged` later swaps the freshly sliced blocks in
-        with ``p`` pointer assignments once the pool drains.
-        """
-        A_arg = self._resolve_bind(transpose, "a", A)
-        B_arg = self._resolve_bind(transpose, "b", B)
-        if A_arg is KEEP and B_arg is KEEP:
-            return None
-        staged = [copy.copy(loc) for loc in ori.locals_]
-        self._alg.bind_dense(ori.plan, staged, A_arg, B_arg)
-        return staged, A_arg is not KEEP, B_arg is not KEEP
-
-    def _promote_staged(self, ori: _Orientation, staging) -> None:
-        if staging is None:
-            return
-        staged, bind_a, bind_b = staging
-        for loc, st in zip(ori.locals_, staged):
-            if bind_a:
-                loc.A = st.A
-            if bind_b:
-                loc.B = st.B
-
     # ------------------------------------------------------------------
     # SPMD dispatch
     # ------------------------------------------------------------------
 
-    def _dispatch(self, ori: _Orientation, call, label: str, degraded: bool = False):
-        """Send one rank procedure to the worker pool (without waiting).
+    def _launch(
+        self, ori: _Orientation, call, label: str, degraded: bool = False
+    ) -> None:
+        """Run one rank procedure on every rank and wait.
 
-        Returns a :class:`~repro.runtime.spmd.PoolFuture`; the
-        non-persistent (spawn-per-call) mode runs synchronously and
-        returns ``None``.  ``degraded=True`` forces the dense
-        communication path even on a sparse-comm session (the graceful
-        degradation re-run — see :meth:`_execute`).
+        ``degraded=True`` forces the dense communication path even on a
+        sparse-comm session (the graceful degradation re-run — see
+        :meth:`_execute`).  Any failure drops the contexts and snapshots
+        before it propagates.
         """
         alg = self._alg
         transpose = ori is self._orients.get(True)
@@ -1000,72 +859,41 @@ class Session:
                     sparse_plan=ori.sparse_plans[comm.rank],
                 )
 
-        if not self.persistent:
-            # spawn-per-call comparison/debug mode: fresh threads, fresh
-            # world and fresh contexts on every kernel call (pre-pool
-            # behavior, kept for the benchmarks' baseline measurements)
-            def cold_body(comm):
-                ctx = alg.make_context(comm)
-                self._note_context_build(transpose)
-                invoke(ctx, comm)
-
-            run_spmd(
-                self.p, cold_body, profiles=self._profiles, label=label,
-                deadline_ms=self.deadline_ms, faults=self._faults,
-            )
-            return None
-
-        pool = self._ensure_pool()
-
-        if pool.spans_processes:
-            # replicated-driver mode (backend="mpi"): only the local
-            # rank's body runs in this process and only its entry of
-            # ori.locals_ mutates, so the body returns that local and the
-            # pool's result allgather doubles as the cross-process locals
-            # sync — remote entries are patched before any driver-side
-            # collect reads them.  The pool executes eagerly (settled
-            # future), so waiting here adds no blocking.
-            def process_body(comm):
-                if ori.contexts[comm.rank] is None:
-                    self._note_context_build(transpose)
-                ctx = alg.ensure_context(comm, ori.contexts)
-                invoke(ctx, comm)
-                return ori.locals_[comm.rank]
-
-            future = pool.run_async(
-                process_body, profiles=self._profiles, label=label
-            )
-            results, _ = future.wait()
-            for rr, loc in enumerate(results):
-                if rr != pool.local_rank and loc is not None:
-                    ori.locals_[rr] = loc
-            return future
-
         def body(comm):
             if ori.contexts[comm.rank] is None:
                 self._note_context_build(transpose)
             ctx = alg.ensure_context(comm, ori.contexts)
             invoke(ctx, comm)
+            # under backend="mpi" only the local rank's body runs in this
+            # process, so its local rides the pool's result allgather
+            return ori.locals_[comm.rank]
 
-        return pool.run_async(body, profiles=self._profiles, label=label)
+        def cold_body(comm):
+            ctx = alg.make_context(comm)
+            self._note_context_build(transpose)
+            invoke(ctx, comm)
 
-    def _launch(
-        self, ori: _Orientation, call, label: str, degraded: bool = False
-    ) -> None:
-        """Synchronous dispatch: run ``call`` on every rank and wait.
-
-        The dispatch itself is inside the failure guard: a single-rank
-        pool runs the body inline (and the spawn-per-call mode runs it
-        synchronously), so its exceptions surface here, not at wait time,
-        and must drop contexts/snapshots all the same.
-        """
         try:
-            future = self._dispatch(ori, call, label, degraded=degraded)
-            if future is not None:
-                future.wait()
+            if not self.persistent:
+                # spawn-per-call comparison/debug mode: fresh threads, fresh
+                # world and fresh contexts on every kernel call (pre-pool
+                # behavior, kept for the benchmarks' baseline measurements)
+                run_spmd(
+                    self.p, cold_body, profiles=self._profiles, label=label,
+                    deadline_ms=self.deadline_ms, faults=self._faults,
+                )
+                return
+            pool = self._ensure_pool()
+            results, _ = pool.run(body, profiles=self._profiles, label=label)
         except Exception:
             self._drop_contexts()
             raise
+        if pool.spans_processes:
+            # replicated-driver mode: patch every remote rank's local
+            # before any driver-side collect reads it
+            for rr, loc in enumerate(results):
+                if rr != pool.local_rank and loc is not None:
+                    ori.locals_[rr] = loc
 
     # ------------------------------------------------------------------
     # retry + graceful degradation
@@ -1156,7 +984,6 @@ class Session:
 
     def _run_mode(self, mode: Mode, A, B, **kernel_kwargs) -> _Orientation:
         t0 = time.perf_counter()
-        self._wait_inflight()
         ori = self._orientation(False)
 
         def call(ctx, plan, local, **kw):
@@ -1230,84 +1057,6 @@ class Session:
             out = self._alg.collect_dense_b(ori.plan, ori.locals_)
             return out, self.report(self._window_label(Mode.SPMM_B.value))
 
-    def spmm_a_async(self, B: np.ndarray, S=None) -> SessionFuture:
-        """Pipelined :meth:`spmm_a`: returns a :class:`SessionFuture`.
-
-        Same double-buffering contract as :meth:`fusedmm_a_async`: the
-        dense scatter of this call is staged while the previous call's
-        SPMD run is still in flight.  This is the serving fleet's dispatch
-        primitive — the next micro-batch panel binds while the current
-        one runs.  ``result()`` returns exactly what :meth:`spmm_a` would.
-        """
-        with self._exclusive():
-            self._check_open()
-            self._check_same_s(S)
-            B = self._check_dense(B, "B", self.n)
-
-            def collect(ori):
-                out = self._alg.collect_dense_a(ori.plan, ori.locals_)
-                return out, self.report(self._window_label(Mode.SPMM_A.value))
-
-            return self._run_mode_async(Mode.SPMM_A, None, B, collect)
-
-    def sddmm_async(
-        self, A: np.ndarray, B: np.ndarray, S=None, use_values: bool = True,
-        edge_op=None,
-    ) -> SessionFuture:
-        """Pipelined :meth:`sddmm` (see :meth:`spmm_a_async`); the serving
-        path for GAT edge scoring batches."""
-        with self._exclusive():
-            self._check_open()
-            self._check_same_s(S)
-            A = self._check_dense(A, "A", self.m)
-            B = self._check_dense(B, "B", self.n)
-            kw = self._sddmm_kwargs(use_values, edge_op)
-
-            def collect(ori):
-                out = self._alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
-                return out, self.report(self._window_label(Mode.SDDMM.value))
-
-            return self._run_mode_async(Mode.SDDMM, A, B, collect, **kw)
-
-    def _run_mode_async(
-        self, mode: Mode, A, B, collect: Callable, **kernel_kwargs
-    ) -> SessionFuture:
-        """Async single-mode run: the :meth:`_run_mode` pipeline with the
-        dispatch left in flight (mirrors :meth:`_run_fused_async`)."""
-        t0 = time.perf_counter()
-        ori = self._orientation(False)
-        label = f"{self.algorithm}/{mode.value}{self._suffix}"
-
-        if not self.persistent:
-            ori = self._run_mode(mode, A, B, **kernel_kwargs)
-            future = SessionFuture(self, None, None)
-            future._done = True
-            future._value = collect(ori)
-            return future
-
-        def call(ctx, plan, local, **kw):
-            self._alg.rank_kernel(ctx, plan, local, mode, **kernel_kwargs, **kw)
-
-        staging = self._stage_operands(ori, False, A, B)
-        self._wait_inflight()  # drains the pool; raises call k's error
-        self._promote_staged(ori, staging)
-        try:
-            pool_future = self._dispatch(ori, call, label)
-        except Exception:
-            self._drop_contexts()
-            raise
-        self._ncalls += 1
-        if mode == Mode.SPMM_A:
-            self._mark_dense_dirty(False, "a")
-        elif mode == Mode.SPMM_B:
-            self._mark_dense_dirty(False, "b")
-
-        future = SessionFuture(self, pool_future, lambda: collect(ori))
-        future._metrics_label = label
-        future._metrics_t0 = t0
-        self._inflight = future
-        return future
-
     def fusedmm_a(
         self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
     ):
@@ -1337,63 +1086,6 @@ class Session:
             return out, sddmm_out, rep
         return out, rep
 
-    def _fused_parts(self, variant: FusedVariant, A, B, S):
-        """Shared validation/resolution for the fused entry points."""
-        self._check_open()
-        self._check_same_s(S)
-        A = self._check_dense(A, "A", self.m)
-        B = self._check_dense(B, "B", self.n)
-        transpose, native = resolve_orientation(self._alg, variant, self.elision)
-        method = _native_method(self._alg, self.elision, native)
-        A_eff, B_eff = (B, A) if transpose else (A, B)
-        label = f"{self.algorithm}/{self.elision.value}{self._suffix}"
-        return transpose, native, method, A_eff, B_eff, label
-
-    def _collect_fused(
-        self, ori: _Orientation, transpose: bool, native: str,
-        collect_sddmm: bool, label: str,
-    ):
-        alg = self._alg
-        if native == "a":
-            out = alg.collect_dense_a(ori.plan, ori.locals_)
-        else:
-            out = alg.collect_dense_b(ori.plan, ori.locals_)
-        sddmm_out = None
-        if collect_sddmm:
-            sddmm_out = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
-            if transpose:
-                sddmm_out = sddmm_out.transposed()
-        return out, sddmm_out, self.report(f"{label}/x{self._ncalls}")
-
-    def fusedmm_a_async(
-        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
-    ) -> SessionFuture:
-        """Pipelined :meth:`fusedmm_a`: returns a :class:`SessionFuture`.
-
-        Submitting call ``k+1`` while call ``k`` is still running overlaps
-        the driver-side dense scatter of ``k+1`` (computed against staged
-        blocks) with ``k``'s SPMD run — the cross-call half of the overlap
-        pipeline::
-
-            futures = [sess.fusedmm_a_async(A, Bs[i]) for i in range(5)]
-            outs = [f.result()[0] for f in futures]
-
-        ``result()`` returns exactly what :meth:`fusedmm_a` would have.
-        """
-        with self._exclusive():
-            return self._run_fused_async(
-                FusedVariant.FUSED_A, A, B, collect_sddmm, S
-            )
-
-    def fusedmm_b_async(
-        self, A: np.ndarray, B: np.ndarray, S=None, collect_sddmm: bool = False
-    ) -> SessionFuture:
-        """Pipelined :meth:`fusedmm_b` (see :meth:`fusedmm_a_async`)."""
-        with self._exclusive():
-            return self._run_fused_async(
-                FusedVariant.FUSED_B, A, B, collect_sddmm, S
-            )
-
     def _run_fused(
         self,
         variant: FusedVariant,
@@ -1404,10 +1096,13 @@ class Session:
         collect: bool = True,
     ) -> Tuple[Optional[np.ndarray], Optional[CooMatrix], RunReport]:
         t0 = time.perf_counter()
-        self._wait_inflight()
-        transpose, native, method, A_eff, B_eff, label = self._fused_parts(
-            variant, A, B, S
-        )
+        self._check_open()
+        self._check_same_s(S)
+        A = self._check_dense(A, "A", self.m)
+        B = self._check_dense(B, "B", self.n)
+        transpose, native, method = self.fused_rank_method(variant)
+        A_eff, B_eff = (B, A) if transpose else (A, B)
+        label = f"{self.algorithm}/{self.elision.value}{self._suffix}"
         ori = self._orientation(transpose)
         try:
             outcome, nretries = self._execute(
@@ -1420,66 +1115,18 @@ class Session:
         self._record_call(label, t0, outcome=outcome, retries=nretries)
         self._mark_dense_dirty(transpose, native)
 
-        if not collect:
-            return None, None, self.report(f"{label}/x{self._ncalls}")
-        return self._collect_fused(ori, transpose, native, collect_sddmm, label)
-
-    def _run_fused_async(
-        self,
-        variant: FusedVariant,
-        A: np.ndarray,
-        B: np.ndarray,
-        collect_sddmm: bool,
-        S=None,
-    ) -> SessionFuture:
-        """Pipelined fused call: stage the dense scatter of *this* call
-        while the previous call's SPMD run is still in flight, then swap
-        the staged blocks in and dispatch to the pool's second slot.
-
-        Requires the persistent worker pool (``persistent=False`` falls
-        back to a synchronous run wrapped in a completed future).
-        """
-        t0 = time.perf_counter()
-        transpose, native, method, A_eff, B_eff, label = self._fused_parts(
-            variant, A, B, S
-        )
-        ori = self._orientation(transpose)
-
-        if not self.persistent:
-            out, sddmm_out, rep = self._run_fused(variant, A, B, collect_sddmm, S)
-            future = SessionFuture(self, None, None)
-            future._done = True
-            future._value = (
-                (out, sddmm_out, rep) if collect_sddmm else (out, rep)
-            )
-            return future
-
-        # the dense scatter of call k+1, computed against staged locals
-        # while call k runs — the driver-side half of the overlap pipeline
-        staging = self._stage_operands(ori, transpose, A_eff, B_eff)
-        self._wait_inflight()  # drains the pool; raises call k's error
-        self._promote_staged(ori, staging)
-        try:
-            pool_future = self._dispatch(ori, method, label)
-        except Exception:
-            # single-rank pools run the body inline: an immediate failure
-            # must invalidate contexts and snapshots like a waited one
-            self._drop_contexts()
-            raise
-        self._ncalls += 1
-        self._mark_dense_dirty(transpose, native)
-
-        def collect():
-            parts = self._collect_fused(
-                ori, transpose, native, collect_sddmm, label
-            )
-            return parts if collect_sddmm else (parts[0], parts[2])
-
-        future = SessionFuture(self, pool_future, collect)
-        future._metrics_label = label
-        future._metrics_t0 = t0
-        self._inflight = future
-        return future
+        out = sddmm_out = None
+        if collect:
+            alg = self._alg
+            if native == "a":
+                out = alg.collect_dense_a(ori.plan, ori.locals_)
+            else:
+                out = alg.collect_dense_b(ori.plan, ori.locals_)
+            if collect_sddmm:
+                sddmm_out = alg.collect_sddmm(ori.plan, ori.locals_, ori.S_eff)
+                if transpose:
+                    sddmm_out = sddmm_out.transposed()
+        return out, sddmm_out, self.report(f"{label}/x{self._ncalls}")
 
     # ------------------------------------------------------------------
     # rank-side dispatch (apps: rank-resident CG loops, edge softmax)
@@ -1510,7 +1157,6 @@ class Session:
         """
         with self._exclusive():
             self._check_open()
-            self._wait_inflight()
             ori = self._orientation(transpose)
             if A is not None:
                 A = self._check_dense(A, "A", ori.plan.m)
@@ -1536,7 +1182,6 @@ class Session:
         t0 = time.perf_counter()
         with self._exclusive():
             self._check_open()
-            self._wait_inflight()
             ori = self._orientation(transpose)
             try:
                 # no retry here: custom rank procedures (the apps' CG loops,
@@ -1566,18 +1211,17 @@ class Session:
         """The accumulated cost report over every call since the last
         :meth:`reset_profile` (live view: later calls keep adding).
 
-        A still-pipelined async call is finalized first — the per-rank
-        profiles are single-writer by design, so the report never reads
-        counters a running call is concurrently mutating.
+        Takes the call gate, so a report is never read while another
+        thread's call is mutating the per-rank counters.
         """
         with self._exclusive():
-            self._wait_inflight()
-        return RunReport(
-            per_rank=self._profiles,
-            label=label or f"session/{self.algorithm}{self._suffix}/x{self._ncalls}",
-            comm_mode=self.comm_mode.value,
-            kernel_backend=self.kernels,
-        )
+            return RunReport(
+                per_rank=self._profiles,
+                label=label
+                or f"session/{self.algorithm}{self._suffix}/x{self._ncalls}",
+                comm_mode=self.comm_mode.value,
+                kernel_backend=self.kernels,
+            )
 
     def reset_profile(self) -> None:
         """Start a fresh accumulation window (resident state untouched).
@@ -1585,7 +1229,6 @@ class Session:
         Clears the counters, the per-call metrics records and — when
         tracing — every rank's span buffer."""
         with self._exclusive():
-            self._wait_inflight()
             self._profiles = self._new_profiles()
             self._ncalls = 0
             self._metrics = []
@@ -1603,11 +1246,8 @@ class Session:
         bytes, and the call ``outcome`` (``"ok"``, ``"retried"``,
         ``"degraded"``, ``"timeout"`` or ``"failed"``) together with the
         number of ``retries`` it took.  Failed calls are recorded too.
-        A still-pipelined async call is finalized first so its record
-        exists by the time this returns.
         """
         with self._exclusive():
-            self._wait_inflight()
             return list(self._metrics)
 
     def metrics_jsonl(self) -> str:
@@ -1616,7 +1256,6 @@ class Session:
 
     def tracers(self) -> List[Tracer]:
         """The per-rank tracers (empty list when ``trace="off"``)."""
-        self._wait_inflight()
         return [p.tracer for p in self._profiles if p.tracer is not None]
 
     def timeline(self) -> TimelineStats:
@@ -1634,7 +1273,6 @@ class Session:
         ``trace="on"``.  Returns the document; writes it to ``path`` too
         when given.
         """
-        self._wait_inflight()
         return export_chrome_trace(
             self._profiles,
             path=path,
@@ -1645,9 +1283,7 @@ class Session:
         """Drain and join the worker pool, release buffer pools, and drop
         the resident distributions.
 
-        Any still-pipelined call is finalized first (its future stays
-        consumable; a failure it carried surfaces at ``result()``, not
-        here).  The pool join is counter-asserted (every rank thread must
+        The pool join is counter-asserted (every rank thread must
         terminate), so sessions cannot leak threads.  Idempotent;
         subsequent kernel calls raise :class:`ReproError`.
 
@@ -1657,10 +1293,6 @@ class Session:
         """
         with self._call_gate:
             if not self._closed:
-                try:
-                    self._wait_inflight()
-                except Exception:
-                    pass  # stored on the future; close must not fail on it
                 if self._pool is not None:
                     self._pool.close()
                     self._pool = None

@@ -255,7 +255,7 @@ class TestMetricsJsonl:
             S, R, p=P, c=2, algorithm="1.5d-dense-shift", comm="dense",
         ) as sess:
             sess.sddmm(A, B)
-            sess.spmm_a_async(B).result()  # async calls are recorded too
+            sess.spmm_a(B)
             sess.fusedmm_a(A, B)
             lines = sess.metrics_jsonl().splitlines()
             records = [json.loads(line) for line in lines]

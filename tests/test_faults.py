@@ -309,6 +309,14 @@ class TestDeadlineWatchdog:
             assert results[1] == 1.0
 
 
+def _run_in_background(pool, body) -> threading.Thread:
+    """Drive ``pool.run(body)`` from a helper thread, so the item is still
+    running (wedged) when the test thread calls ``close()``."""
+    driver = threading.Thread(target=pool.run, args=(body,), daemon=True)
+    driver.start()
+    return driver
+
+
 class TestCloseTimeout:
     def test_close_timeout_names_blocked_rank(self):
         pool = WorkerPool(2, name="stuckpool")
@@ -318,7 +326,7 @@ class TestCloseTimeout:
                 return comm.recv(1, tag=42)  # never satisfied, no deadline
             return None
 
-        pool.run_async(body)
+        driver = _run_in_background(pool, body)
         deadline = time.monotonic() + 5.0
         while 0 not in pool.world.blocked and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -333,6 +341,8 @@ class TestCloseTimeout:
             # unwedge the stuck rank so the pool can actually join
             pool.world.abort()
             pool.close()
+            driver.join(timeout=5.0)
+        assert not driver.is_alive()
 
     def test_close_retry_after_unblock_succeeds(self):
         """A failed close leaves the pool joinable: the documented
@@ -345,13 +355,15 @@ class TestCloseTimeout:
                 release.wait()
             return None
 
-        pool.run_async(body)
+        driver = _run_in_background(pool, body)
         with pytest.raises(ReproError, match="failed to join"):
             pool.close(timeout=0.1)
         assert not pool.closed
         release.set()
         pool.close()
         assert pool.closed
+        driver.join(timeout=5.0)
+        assert not driver.is_alive()
 
 
 class TestErrorChaining:
@@ -367,26 +379,3 @@ class TestErrorChaining:
                 pool.run(bad)
             assert isinstance(err.value.__cause__, ValueError)
             assert err.value.__cause__.args == ("boom",)
-
-    def test_poisoned_future_chains_root_cause(self):
-        """A pipelined item aborted by an earlier failure carries the
-        originating rank's exception as its __cause__, so the root-cause
-        traceback survives into the driver."""
-        with WorkerPool(4) as pool:
-
-            def bad(comm):
-                if comm.rank == 1:
-                    time.sleep(0.05)
-                    raise ValueError("original failure")
-                comm.allreduce_scalar(1.0)
-
-            f1 = pool.run_async(bad, label="first")
-            f2 = pool.run_async(
-                lambda comm: comm.allreduce_scalar(1.0), label="second"
-            )
-            with pytest.raises(RuntimeError, match="aborted.*original failure") as err:
-                f2.wait()
-            assert isinstance(err.value.__cause__, ValueError)
-            assert err.value.__cause__.args == ("original failure",)
-            with pytest.raises(RuntimeError, match="rank 1 failed"):
-                f1.wait()

@@ -8,8 +8,7 @@ Covers the three layers of the feature:
 * the software-pipelined phase loops of all four algorithm families —
   ``overlap="on"`` must be **bitwise identical** to ``overlap="off"``
   across kernels, elisions, communication modes and grids;
-* the worker pool's second dispatch slot and the session's cross-call
-  pipeline — including abort/recovery with an exchange in flight.
+* worker-pool and session abort/recovery with an exchange in flight.
 """
 
 from __future__ import annotations
@@ -281,44 +280,11 @@ class TestBufferPoolLeases:
 
 
 # ----------------------------------------------------------------------
-# worker pool: second dispatch slot + abort with an exchange in flight
+# worker pool: abort with an exchange in flight, single-rank inline path
 # ----------------------------------------------------------------------
 
 
 class TestPoolSecondSlot:
-    def test_run_async_basic(self):
-        with WorkerPool(4) as pool:
-            fut = pool.run_async(lambda comm: comm.rank * 2)
-            results, report = fut.wait()
-            assert results == [0, 2, 4, 6]
-            assert fut.done
-            # idempotent wait
-            assert fut.wait()[0] == results
-
-    def test_two_items_pipeline_in_order(self):
-        order = []
-
-        def first(comm):
-            got = comm.shift(comm.rank, displacement=1)
-            if comm.rank == 0:
-                order.append("first")
-            return got
-
-        def second(comm):
-            got = comm.shift(comm.rank, displacement=-1)
-            if comm.rank == 0:
-                order.append("second")
-            return got
-
-        with WorkerPool(3) as pool:
-            f1 = pool.run_async(first, label="one")
-            f2 = pool.run_async(second, label="two")
-            r2, _ = f2.wait()
-            r1, _ = f1.wait()  # settled already (FIFO); cached outcome
-            assert r1 == [(r - 1) % 3 for r in range(3)]
-            assert r2 == [(r + 1) % 3 for r in range(3)]
-            assert order == ["first", "second"]
-
     def test_abort_with_exchange_in_flight_recovers(self):
         """One rank dies while a sibling has a nonblocking exchange posted
         and is blocked in its wait; the pool must unwind and recover."""
@@ -332,53 +298,28 @@ class TestPoolSecondSlot:
             return pend.wait()
 
         with WorkerPool(4) as pool:
-            fut = pool.run_async(bad, label="doomed")
             with pytest.raises(RuntimeError, match="rank 0 failed"):
-                fut.wait()
+                pool.run(bad, label="doomed")
             # recovered: the same resident ranks serve the next item
             results, _ = pool.run(lambda comm: comm.shift(comm.rank, 1))
             assert results == [(r - 1) % 4 for r in range(4)]
 
-    def test_pipelined_item_behind_failure_is_poisoned(self):
-        def bad(comm):
-            comm.barrier(tag=60)
-            if comm.rank == 1:
-                raise ValueError("first item dies")
-            comm.recv(comm.rank, tag=61)  # blocks until abort
-
-        def innocent(comm):
-            return comm.shift(comm.rank, displacement=1)
-
-        with WorkerPool(3) as pool:
-            f1 = pool.run_async(bad, label="bad")
-            f2 = pool.run_async(innocent, label="innocent")
-            with pytest.raises(RuntimeError, match="aborted"):
-                f2.wait()
-            with pytest.raises(RuntimeError, match="rank 1 failed"):
-                f1.wait()
-            # pool is reusable after the drained recovery
-            results, _ = pool.run(innocent)
-            assert results == [(r - 1) % 3 for r in range(3)]
-
-    def test_inflight_cap_blocks_third_dispatch(self):
-        with WorkerPool(2) as pool:
-            futs = [
-                pool.run_async(lambda comm: comm.shift(comm.rank, 1), label=str(i))
-                for i in range(5)  # > MAX_INFLIGHT: dispatch self-throttles
-            ]
-            for fut in futs:
-                results, _ = fut.wait()
-                assert results == [1, 0]
-
     def test_single_rank_pool_runs_inline(self):
+        def bad(comm):
+            raise ValueError("raw")
+
         with WorkerPool(1) as pool:
-            fut = pool.run_async(lambda comm: 42)
-            assert fut.done
-            assert fut.wait()[0] == [42]
+            assert pool._threads == []  # no rank thread: the driver runs it
+            results, report = pool.run(lambda comm: 42, label="inline")
+            assert results == [42]
+            assert report.label == "inline"
+            with pytest.raises(ValueError, match="raw"):  # not wrapped
+                pool.run(bad)
+            assert pool.run(lambda comm: comm.rank)[0] == [0]
 
 
 # ----------------------------------------------------------------------
-# session: overlap knob resolution, cross-call pipeline, abort recovery
+# session: overlap knob resolution, abort recovery
 # ----------------------------------------------------------------------
 
 
@@ -437,62 +378,17 @@ class TestSessionOverlap:
         assert modeled.measured_exposed_seconds == report.exposed_comm_seconds
         assert modeled.overlap_efficiency == report.overlap_efficiency
 
-    def test_async_pipeline_bitwise_and_reports(self, small_problem):
-        S, A, B = small_problem
-        rng = np.random.default_rng(3)
-        Bs = [rng.standard_normal(B.shape) for _ in range(4)]
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift",
-                        elision="replication-reuse") as sess:
-            sync_outs = [sess.fusedmm_a(A, b)[0] for b in Bs]
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift",
-                        elision="replication-reuse") as sess:
-            futures = [sess.fusedmm_a_async(A, b) for b in Bs]
-            outs = [f.result() for f in futures]
-        for want, (got, report) in zip(sync_outs, outs):
-            assert np.array_equal(want, got)
-            assert report.comm_mode == "dense"
-
-    def test_async_result_is_idempotent_and_unclobbered(self, small_problem):
-        """A later pipelined call must not clobber an unconsumed output."""
-        S, A, B = small_problem
-        rng = np.random.default_rng(4)
-        B2 = rng.standard_normal(B.shape)
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift") as sess:
-            want1 = sess.fusedmm_a(A, B)[0]
-            want2 = sess.fusedmm_a(A, B2)[0]
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift") as sess:
-            f1 = sess.fusedmm_a_async(A, B)
-            f2 = sess.fusedmm_a_async(A, B2)  # stages while f1 runs
-            out2 = f2.result()[0]
-            out1 = f1.result()[0]  # finalized before f2 promoted; cached
-            assert np.array_equal(want1, out1)
-            assert np.array_equal(want2, out2)
-
-    def test_async_on_nonpersistent_session_falls_back(self, small_problem):
-        S, A, B = small_problem
-        with repro.plan(S, A.shape[1], p=4, c=2,
-                        algorithm="1.5d-dense-shift",
-                        persistent=False) as sess:
-            want = sess.fusedmm_a(A, B)[0]
-            fut = sess.fusedmm_a_async(A, B)
-            assert fut.done
-            assert np.array_equal(want, fut.result()[0])
-
     def test_failure_invalidates_skip_rebind_snapshots(self, small_problem):
-        """A failed item must clear the dense-operand snapshots: a bind
-        staged (or marked bound) around the failure may never be skipped
-        against resident blocks the aborted kernels half-overwrote."""
+        """A failed item must clear the dense-operand snapshots: a side
+        marked bound before the failure may never be skipped against
+        resident blocks the aborted kernels half-overwrote."""
         S, A, B = small_problem
         with repro.plan(S, A.shape[1], p=4, c=2,
                         algorithm="1.5d-dense-shift") as sess:
             want = sess.fusedmm_a(A, B)[0]
         with repro.plan(S, A.shape[1], p=4, c=2,
                         algorithm="1.5d-dense-shift") as sess:
-            f1 = sess.fusedmm_a_async(A, B)  # snapshots both sides
+            first, _ = sess.fusedmm_a(A, B)  # snapshots both sides
 
             def bad(ctx, plan_, local, sparse_plan=None):
                 local.A[:] = np.nan  # clobber resident blocks, then die
@@ -502,7 +398,7 @@ class TestSessionOverlap:
 
             with pytest.raises(RuntimeError):
                 sess.run_rank(bad, label="clobber")
-            f1.result()  # finalized before the failing dispatch; still good
+            assert np.array_equal(want, first)  # returned before the failure
             # the failure cleared every snapshot: rebinding the *same*
             # operands must NOT be skipped against the NaN-filled blocks
             out, _ = sess.fusedmm_a(A, B)

@@ -22,9 +22,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.apps.als import AlsServeModel, recommend_topk
+from repro.apps.als import AlsServeModel, _dense_as_coo, recommend_topk
 from repro.apps.gat import GatServeModel
 from repro.errors import ReproError, ServeOverload
+from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.serve import (
     AlsTopKRequest,
     GatEdgeScoreRequest,
@@ -227,6 +228,45 @@ class TestDeadlines:
         assert completions[0].ok
 
 
+class _OneShotCrashAls(AlsServeModel):
+    """ALS model whose sessions arm a one-shot injected rank crash."""
+
+    def make_session(self):
+        return repro.plan(
+            _dense_as_coo(self.item_factors), self.batch_width, p=self.p,
+            c=self.c, algorithm=self.algorithm, comm=self.comm,
+            retries=self.retries,
+            faults=FaultPlan(
+                [FaultSpec("crash", rank=1, site="computation", times=1)]
+            ),
+        )
+
+
+class TestRetries:
+    def test_serve_honours_retries(self, als_parts):
+        """A served batch runs through the session's retry path: a crash
+        that fires once is re-executed, and the batch reports "retried"
+        with the clean model's exact value."""
+        user_factors, item_factors, seen = als_parts
+        reqs = lambda: [  # noqa: E731 - fresh dataclasses per server
+            AlsTopKRequest(model_id="als", user=u, k=5) for u in (3, 17, 40)
+        ]
+        clean = _serve_all(_als_model(als_parts), reqs())
+        faulty = _serve_all(
+            _OneShotCrashAls(
+                user_factors, item_factors, seen=seen, p=P,
+                batch_width=WIDTH, retries=1,
+            ),
+            reqs(),
+        )
+        assert [c.outcome for c in clean] == ["ok"] * 3
+        assert [c.outcome for c in faulty] == ["retried"] * 3
+        assert all(c.ok and c.retries == 1 for c in faulty)
+        for cf, cc in zip(faulty, clean):
+            assert np.array_equal(cf.value[0], cc.value[0])
+            assert np.array_equal(cf.value[1], cc.value[1])  # bitwise
+
+
 class TestTenants:
     def test_rebind_per_tenant_values(self, als_parts):
         user_factors, item_factors, seen = als_parts
@@ -277,8 +317,8 @@ class TestFleetLifecycle:
                 srv.submit(AlsTopKRequest(model_id="als", user=u % N_USERS, k=4))
                 for u in range(24)
             ]
-            # drain settles the tail batches the pipelined fleet still
-            # holds in flight; only then is every future guaranteed done
+            # drain releases the tail batches still in the coalescing
+            # window; only then is every future guaranteed done
             srv.drain()
             completions = [f.result(timeout=60.0) for f in futures]
         assert all(c.ok for c in completions)
