@@ -379,3 +379,24 @@ class TestErrorChaining:
                 pool.run(bad)
             assert isinstance(err.value.__cause__, ValueError)
             assert err.value.__cause__.args == ("boom",)
+
+    def test_failure_after_recovery_chains_its_own_cause(self):
+        """Recovery clears the failed item's errors: the next failing item
+        chains its own root cause, never the stale one."""
+        with WorkerPool(4) as pool:
+
+            def bad(msg, rank):
+                def body(comm):
+                    if comm.rank == rank:
+                        raise ValueError(msg)
+                    comm.allreduce_scalar(1.0)
+
+                return body
+
+            with pytest.raises(RuntimeError, match="rank 1 failed.*first"):
+                pool.run(bad("first", 1))
+            with pytest.raises(RuntimeError, match="rank 2 failed.*second") as err:
+                pool.run(bad("second", 2))
+            assert isinstance(err.value.__cause__, ValueError)
+            assert err.value.__cause__.args == ("second",)
+            assert pool.run(lambda comm: comm.allreduce_scalar(1.0))[0] == [4.0] * 4

@@ -13,6 +13,8 @@ Covers the three layers of the feature:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,95 @@ class TestBufferPoolLeases:
 
 
 class TestPoolSecondSlot:
+    def test_run_basic_returns_per_rank_results(self):
+        with WorkerPool(4) as pool:
+            results, report = pool.run(lambda comm: comm.rank * 2, label="x2")
+            assert results == [0, 2, 4, 6]
+            assert report.label == "x2"
+            # the resident ranks serve a repeat of the same item unchanged
+            assert pool.run(lambda comm: comm.rank * 2)[0] == results
+
+    def test_two_items_run_in_order(self):
+        order = []
+
+        def first(comm):
+            got = comm.shift(comm.rank, displacement=1)
+            if comm.rank == 0:
+                order.append("first")
+            return got
+
+        def second(comm):
+            got = comm.shift(comm.rank, displacement=-1)
+            if comm.rank == 0:
+                order.append("second")
+            return got
+
+        with WorkerPool(3) as pool:
+            r1, _ = pool.run(first, label="one")
+            assert order == ["first"]  # settled before run() returned
+            r2, _ = pool.run(second, label="two")
+            assert r1 == [(r - 1) % 3 for r in range(3)]
+            assert r2 == [(r + 1) % 3 for r in range(3)]
+            assert order == ["first", "second"]
+
+    def test_item_after_failure_runs_on_recovered_world(self):
+        """The item dispatched after a failure is not aborted by it: the
+        failing call recovers the world before it raises."""
+
+        def bad(comm):
+            comm.barrier(tag=60)
+            if comm.rank == 1:
+                raise ValueError("first item dies")
+            comm.recv(comm.rank, tag=61)  # blocks until abort
+
+        def innocent(comm):
+            return comm.shift(comm.rank, displacement=1)
+
+        with WorkerPool(3) as pool:
+            with pytest.raises(RuntimeError, match="rank 1 failed"):
+                pool.run(bad, label="bad")
+            results, report = pool.run(innocent, label="innocent")
+            assert results == [(r - 1) % 3 for r in range(3)]
+            assert report.label == "innocent"
+            # the undelivered tag-61 traffic was dropped by the recovery
+            assert pool.run(innocent)[0] == results
+
+    def test_concurrent_callers_serialize(self):
+        """run() from several threads at once executes one item at a time
+        and hands every caller its own results."""
+        lock = threading.Lock()
+        active = [0]
+        peak = [0]
+
+        def body(comm):
+            if comm.rank == 0:
+                with lock:
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+            got = comm.shift(comm.rank, 1)
+            comm.barrier(tag=62)
+            if comm.rank == 0:
+                with lock:
+                    active[0] -= 1
+            return got
+
+        with WorkerPool(2) as pool:
+            outs = [None] * 5
+
+            def call(i):
+                outs[i] = pool.run(body, label=str(i))
+
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(5)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=10.0)
+            assert not any(t.is_alive() for t in callers)
+            for i, (results, report) in enumerate(outs):
+                assert results == [1, 0]
+                assert report.label == str(i)
+            assert peak[0] == 1
+
     def test_abort_with_exchange_in_flight_recovers(self):
         """One rank dies while a sibling has a nonblocking exchange posted
         and is blocked in its wait; the pool must unwind and recover."""
@@ -377,6 +468,56 @@ class TestSessionOverlap:
         assert modeled.measured_hidden_seconds == report.hidden_comm_seconds
         assert modeled.measured_exposed_seconds == report.exposed_comm_seconds
         assert modeled.overlap_efficiency == report.overlap_efficiency
+
+    def test_repeated_calls_bitwise_and_reports(self, small_problem):
+        """Back-to-back calls on one resident session reproduce fresh
+        sessions' outputs bit for bit, each with its own report."""
+        S, A, B = small_problem
+        rng = np.random.default_rng(3)
+        Bs = [rng.standard_normal(B.shape) for _ in range(4)]
+        fresh = []
+        for b in Bs:
+            with repro.plan(S, A.shape[1], p=4, c=2,
+                            algorithm="1.5d-dense-shift",
+                            elision="replication-reuse") as sess:
+                fresh.append(sess.fusedmm_a(A, b)[0])
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift",
+                        elision="replication-reuse") as sess:
+            outs = [sess.fusedmm_a(A, b) for b in Bs]
+        for want, (got, report) in zip(fresh, outs):
+            assert np.array_equal(want, got)
+            assert report.comm_mode == "dense"
+        assert len({id(report) for _, report in outs}) == len(Bs)
+
+    def test_result_is_unclobbered_by_next_call(self, small_problem):
+        """A later call must not overwrite an output already returned."""
+        S, A, B = small_problem
+        rng = np.random.default_rng(4)
+        B2 = rng.standard_normal(B.shape)
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            want1 = sess.fusedmm_a(A, B)[0].copy()
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            want2 = sess.fusedmm_a(A, B2)[0].copy()
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            out1 = sess.fusedmm_a(A, B)[0]
+            out2 = sess.fusedmm_a(A, B2)[0]
+            assert np.array_equal(want1, out1)
+            assert np.array_equal(want2, out2)
+
+    def test_nonpersistent_session_matches_persistent(self, small_problem):
+        S, A, B = small_problem
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift") as sess:
+            want = sess.fusedmm_a(A, B)[0]
+        with repro.plan(S, A.shape[1], p=4, c=2,
+                        algorithm="1.5d-dense-shift",
+                        persistent=False) as sess:
+            assert np.array_equal(want, sess.fusedmm_a(A, B)[0])
+            assert np.array_equal(want, sess.fusedmm_a(A, B)[0])
 
     def test_failure_invalidates_skip_rebind_snapshots(self, small_problem):
         """A failed item must clear the dense-operand snapshots: a side
