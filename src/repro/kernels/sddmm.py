@@ -8,7 +8,10 @@ The numpy path is *chunked* over nonzeros: each chunk gathers
 budget (:data:`_CHUNK_BYTES`), so the two gathered blocks stay
 cache-resident while ``np.einsum`` reduces them — the blocking the paper
 calls for in shared-memory SDDMM (Section III-A) and the row-blocked,
-cache-sized tiles of Gale et al. for the same kernel.
+cache-sized tiles of Gale et al. for the same kernel.  ``sddmm_coo``
+gathers every chunk into the same two buffers (``np.take(...,
+out=)``), allocated once per call; one range check per call keeps
+out-of-range and negative coordinates an ``IndexError``.
 
 Each public kernel takes an optional ``profile``; when the profile
 carries a compiled kernel backend (``profile.kernels``, attached by the
@@ -56,6 +59,17 @@ def _kernel_impl(profile: Optional[RankProfile]):
 def _f64(*arrays: np.ndarray) -> bool:
     """True when every array is float64 (the compiled backends' dtype)."""
     return all(a.dtype == np.float64 for a in arrays)
+
+
+def _check_range(index: np.ndarray, size: int, what: str) -> None:
+    """Raise ``IndexError`` unless every entry of ``index`` is in
+    ``[0, size)``."""
+    lo, hi = int(index.min()), int(index.max())
+    if lo < 0 or hi >= size:
+        bad = lo if lo < 0 else hi
+        raise IndexError(
+            f"{what} index {bad} is out of bounds for operand with {size} rows"
+        )
 
 
 def sddmm_coo(
@@ -107,6 +121,11 @@ def sddmm_coo(
         A = A[:, k0:k1]
         B = B[:, k0:k1]
     r = A.shape[1]
+    if nnz:
+        # one bounds check per call: the gathers below clip, so an
+        # out-of-range (or negative) coordinate must fail here
+        _check_range(rows, A.shape[0], "row")
+        _check_range(cols, B.shape[0], "column")
     impl = _kernel_impl(profile)
     if impl is not None and _f64(A, B, out):
         impl.sddmm_dots_add(
@@ -116,14 +135,21 @@ def sddmm_coo(
             np.ascontiguousarray(cols, dtype=np.int64),
             out,
         )
-    else:
-        chunk = _chunk_nnz(r)
+    elif nnz:
+        # gather into per-call buffers reused by every chunk (a fresh
+        # pair per chunk can cost page faults on each allocation)
+        chunk = min(_chunk_nnz(r), nnz)
+        ga = np.empty((chunk, r), dtype=A.dtype)
+        gb = np.empty((chunk, r), dtype=B.dtype)
+        dots = np.empty(chunk, dtype=np.result_type(A, B))
         for s in range(0, nnz, chunk):
             e = min(s + chunk, nnz)
-            ga = A[rows[s:e]]
-            gb = B[cols[s:e]]
+            k = e - s
+            np.take(A, rows[s:e], axis=0, out=ga[:k], mode="clip")
+            np.take(B, cols[s:e], axis=0, out=gb[:k], mode="clip")
             # einsum computes the row-wise dots without materializing ga*gb
-            out[s:e] += np.einsum("ij,ij->i", ga, gb)
+            np.einsum("ij,ij->i", ga[:k], gb[:k], out=dots[:k])
+            out[s:e] += dots[:k]
     if s_vals is not None:
         out *= s_vals
     if profile is not None:

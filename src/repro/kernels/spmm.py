@@ -4,10 +4,11 @@
 :class:`~repro.sparse.coo.SparseBlock`.  The CSR structure of the block is
 cached (paper-style amortized preprocessing); each call is a single SciPy
 CSR matmul accumulated into the caller's output buffer.  The one-shot
-:func:`spmm_scatter` over transient coordinates builds its CSR per call:
-SciPy's O(nnz) COO-to-CSR conversion plus one CSR matmul beats a
-gather/segment-sum formulation, which materializes an ``nnz x r``
-contribution array.
+:func:`spmm_scatter` over transient coordinates builds its CSR per call
+and runs one CSR matmul, which beats a gather/segment-sum formulation
+(that materializes an ``nnz x r`` contribution array).  Its chunks
+arrive in (row, col) order, so the build is a ``bincount`` of the rows,
+not a COO-to-CSR conversion sort.
 
 When the caller's profile carries a compiled kernel backend
 (``profile.kernels``), the CSR product runs through the backend's
@@ -34,6 +35,25 @@ from repro.sparse.coo import SparseBlock
 def spmm_flops(nnz: int, r: int) -> int:
     """FLOPs of one SpMM over ``nnz`` nonzeros and width ``r``."""
     return 2 * nnz * r
+
+
+def _csr_indptr(
+    major: np.ndarray, minor: np.ndarray, n_major: int, n_minor: int
+) -> Optional[np.ndarray]:
+    """CSR ``indptr`` of in-range coordinates in strict (major, minor)
+    order — CSR order without duplicates — else ``None``."""
+    if n_major * n_minor > np.iinfo(np.int64).max:
+        return None
+    if minor.min() < 0 or minor.max() >= n_minor:
+        return None
+    key = major.astype(np.int64, copy=False) * n_minor + minor
+    if not (key[1:] > key[:-1]).all():
+        return None
+    if major[0] < 0 or major[-1] >= n_major:
+        return None
+    indptr = np.zeros(n_major + 1, dtype=np.int64)
+    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
+    return indptr
 
 
 def spmm_a_block(
@@ -102,11 +122,22 @@ def spmm_scatter(
 ) -> np.ndarray:
     """``out[rows] += vals * B[cols]`` on transient COO coordinates.
 
-    Used for one-shot products on circulating sparse blocks, which visit
-    a rank once per kernel call.  The numpy path builds a SciPy CSR for
-    each call — the O(nnz) conversion costs a fraction of the product it
-    enables — and accumulates ``out += csr @ B`` in CSR row order.
-    Contributions of duplicate coordinates are summed.
+    Used for products on circulating sparse chunks, which visit a rank
+    once per kernel call.  The numpy path accumulates ``out += M @ B``
+    with ``M`` the SciPy CSR of the coordinates, built one of three ways,
+    chosen from the input's own order:
+
+    * ``(rows, cols)`` in strict (row, col) order — the order
+      :func:`~repro.sparse.partition.partition_by_owner` gives every
+      chunk: ``indptr`` from a ``bincount``, no conversion;
+    * ``(cols, rows)`` in strict order — the SpMMB call
+      ``spmm_scatter(lcols, rows, ...)`` on such a chunk: the CSR of the
+      transpose from a ``bincount``, applied as ``M.T @ B``;
+    * anything else (unsorted, or with duplicate coordinates): SciPy's
+      COO-to-CSR conversion, which sorts and sums duplicates.
+
+    Every path adds each output row's contributions in ascending column
+    order, so for duplicate-free input all three are bitwise equal.
     """
     nnz = len(rows)
     if nnz == 0:
@@ -130,7 +161,18 @@ def spmm_scatter(
             seg_starts,
         )
     else:
-        M = sp.csr_matrix((vals, (rows, cols)), shape=(out.shape[0], B.shape[0]))
+        nr, nc = out.shape[0], B.shape[0]
+        indptr = _csr_indptr(rows, cols, nr, nc)
+        if indptr is not None:
+            M = sp.csr_matrix((vals, cols, indptr), shape=(nr, nc))
+        else:
+            indptr = _csr_indptr(cols, rows, nc, nr)
+            if indptr is not None:
+                # column-ordered (the SpMMB call over a row-ordered chunk):
+                # the CSR of the transpose, applied transposed
+                M = sp.csr_matrix((vals, rows, indptr), shape=(nc, nr)).T
+            else:
+                M = sp.csr_matrix((vals, (rows, cols)), shape=(nr, nc))
         out += M @ B
     if profile is not None:
         profile.add_flops(spmm_flops(nnz, B.shape[1]))

@@ -49,8 +49,10 @@ _REPEATS = 3
 #: revision of the measured kernels' formulations, part of the host
 #: fingerprint: bump it whenever a change makes a kernel faster or slower
 #: so caches measured against the old code are re-measured (2: per-call
-#: CSR ``spmm_scatter`` and byte-budgeted SDDMM chunks)
-_KERNEL_REVISION = 2
+#: CSR ``spmm_scatter`` and byte-budgeted SDDMM chunks; 3: conversion-free
+#: ``spmm_scatter`` on (row, col)-ordered chunks and ``sddmm_coo``
+#: gathering into per-call buffers)
+_KERNEL_REVISION = 3
 
 #: in-memory memo: calibration runs at most once per process per cache
 _MEMO: Dict[str, dict] = {}

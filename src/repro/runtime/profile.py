@@ -91,23 +91,42 @@ class RankProfile:
         #: the session when ``kernels != "numpy"``; ``None`` keeps every
         #: local kernel on its inline numpy path at one attribute read
         self.kernels = None
+        #: optional process-wide kernel-admission semaphore (one slot per
+        #: core) attached by a thread worker pool that has more ranks
+        #: than cores; ``None`` admits every compute region at once
+        self.slots = None
 
     @contextmanager
     def track(self, phase: Phase) -> Iterator[None]:
         """Attribute wall time and traffic inside the block to ``phase``.
 
         Phase entry is a fault-injection site: an armed ``crash`` or
-        ``straggler`` trigger naming this phase fires here.
+        ``straggler`` trigger naming this phase fires here.  Entry to an
+        outermost computation region takes a kernel slot when the rank
+        carries :attr:`slots`; the wait comes before the timer starts,
+        so it counts as idle time, not computation.
         """
         if self.faults is not None:
             self.faults.on_phase(phase.value)
         previous = self.phase
+        slots = self.slots
+        if phase is not Phase.COMPUTATION or previous is Phase.COMPUTATION:
+            slots = None  # only an outermost computation region takes one
+        if slots is not None:
+            # Admission rule: a computation region runs local kernels
+            # only and never blocks on a peer (sends, receives and waits
+            # live in the communication phases), so no rank waits for a
+            # peer while holding a slot and the bounded wait here cannot
+            # deadlock the ring.
+            slots.acquire()
         self.phase = phase
         start = time.perf_counter()
         try:
             yield
         finally:
             end = time.perf_counter()
+            if slots is not None:
+                slots.release()
             self.counters[phase].seconds += end - start
             self.phase = previous
             if self.tracer is not None:

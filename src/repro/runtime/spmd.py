@@ -36,6 +36,7 @@ work item.  The MPI pool has no cross-process recovery — see
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -47,6 +48,19 @@ from repro.runtime.comm import Communicator
 from repro.runtime.profile import RankProfile, RunReport
 
 RankFn = Callable[[Communicator], Any]
+
+
+#: cores this process may run on (its CPU affinity set), read at import
+NCORES = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+
+#: process-wide kernel admission: one slot per core, shared by every
+#: thread pool whose ranks outnumber the cores, so at most ``NCORES``
+#: local kernels run at once however many ranks and sessions exist
+KERNEL_SLOTS = threading.BoundedSemaphore(NCORES)
 
 
 def _chained(error: BaseException, cause: BaseException) -> BaseException:
@@ -165,6 +179,9 @@ class WorkerPool:
         #: ``None`` disables the watchdog
         self.deadline_ms = deadline_ms
         self.world = World(nranks, faults=faults)
+        # more rank threads than cores: bound concurrent kernels to the
+        # cores, so ranks do not time-slice each other inside a kernel
+        self._slots = KERNEL_SLOTS if nranks > NCORES else None
         # one rank-bound fault view per rank, attached to each item's
         # profile at dispatch so rank-agnostic sites (phase tracking,
         # buffer pools) can fire rank-scoped faults
@@ -208,6 +225,7 @@ class WorkerPool:
             profile = item.profiles[r]
             if self._rank_faults is not None:
                 profile.faults = self._rank_faults[r]
+            profile.slots = self._slots
             comm.profile = profile
             self.world.active_profiles[r] = profile
             tracer = profile.tracer

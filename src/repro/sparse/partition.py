@@ -143,10 +143,27 @@ def partition_by_owner(
     layouts whose ownership rule is not a plain 2D blocking (e.g. the
     column-block-cyclic chunks of the 1.5D sparse-shifting algorithm).
     Returns ``{rank: (rows, cols, vals, gidx)}``; empty ranks are omitted.
+
+    Every part is in (row, col) order — CSR order — so kernels over the
+    part (``spmm_scatter``) build their CSR without a conversion sort;
+    ``gidx`` maps each entry back to its position in the input.  The
+    order is one sort of the combined key ``(owner*m + row)*n + col``
+    (``np.lexsort`` only when that key would overflow int64), and it is
+    a pure function of the input, so callers partitioning the same
+    triples with the same owners get element-wise aligned parts.
     """
     if len(owner) == 0:
         return {}
-    order = np.argsort(owner, kind="stable")
+    lo, hi = int(owner.min()), int(owner.max())
+    if lo < 0 or hi >= nranks:
+        raise DistributionError(f"owner rank {lo if lo < 0 else hi} out of range")
+    m = int(rows.max()) + 1
+    n = int(cols.max()) + 1
+    if nranks * m * n <= np.iinfo(np.int64).max:
+        o64 = owner.astype(np.int64, copy=False)
+        order = np.argsort((o64 * m + rows) * n + cols)
+    else:
+        order = np.lexsort((cols, rows, owner))
     o_sorted = owner[order]
     boundaries = np.flatnonzero(np.diff(o_sorted)) + 1
     starts = np.concatenate(([0], boundaries))
@@ -155,8 +172,6 @@ def partition_by_owner(
     for s, e in zip(starts, ends):
         idx = order[s:e]
         rank = int(o_sorted[s])
-        if not 0 <= rank < nranks:
-            raise DistributionError(f"owner rank {rank} out of range")
         out[rank] = (rows[idx], cols[idx], vals[idx], idx.astype(np.int64))
     return out
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms.registry import make_algorithm
+from repro.baselines.serial import sddmm_serial
 from repro.comm_sparse import (
     CommPlan,
     PeerExchange,
@@ -26,8 +28,8 @@ from repro.comm_sparse import (
 from repro.errors import CommError
 from repro.runtime.spmd import run_spmd
 from repro.sparse.coo import CooMatrix
-from repro.sparse.generate import erdos_renyi
-from repro.sparse.partition import block_of
+from repro.sparse.generate import erdos_renyi, random_permutation, rmat
+from repro.sparse.partition import block_of, partition_by_owner
 from repro.types import Mode, Phase
 
 
@@ -262,6 +264,59 @@ class TestPlanner15D:
                 len(self.plan.rows_a_of_fiber[w]) * sw for w in range(4) if w != v
             )
             assert cp.gather.recv_words() <= dense
+
+
+class TestChunkOrder15D:
+    """The 1.5D sparse-shift chunks are in (row, col) order — the order
+    ``spmm_scatter`` builds its CSR from without a conversion — on a
+    permuted matrix whose own COO order is not, and the orders of
+    ``distribute_sparse`` and the planner stay aligned."""
+
+    def setup_method(self):
+        self.S = random_permutation(rmat(8, edge_factor=6, seed=5), seed=6)
+        self.alg = make_algorithm("1.5d-sparse-shift", 8, 2)
+        self.plan = self.alg.plan(*self.S.shape, 12)
+        n = self.S.shape[1]
+        assert np.any(np.diff(self.S.rows * n + self.S.cols) < 0)
+
+    def test_partition_parts_are_row_col_ordered(self):
+        S, plan = self.S, self.plan
+        owner = block_of(S.rows, plan.row_chunks) * 2 + (
+            block_of(S.cols, plan.col_fine) % 2
+        )
+        parts = partition_by_owner(S.rows, S.cols, S.vals, owner, 8)
+        assert sum(len(part[3]) for part in parts.values()) == S.nnz
+        for rank, (rows, cols, vals, gidx) in parts.items():
+            assert np.all(np.diff(rows * S.shape[1] + cols) > 0)
+            np.testing.assert_array_equal(owner[gidx], rank)
+            np.testing.assert_array_equal(S.rows[gidx], rows)
+            np.testing.assert_array_equal(S.cols[gidx], cols)
+            np.testing.assert_array_equal(S.vals[gidx], vals)
+
+    def test_planner_home_chunks_align_with_distribution(self):
+        locals_ = self.alg.distribute_sparse(self.plan, self.S)
+        cplans = plan_sparse_shift_15d(self.plan, self.S)
+        for loc, cp in zip(locals_, cplans):
+            np.testing.assert_array_equal(
+                cp.home_rows_packed, cp.index.positions(loc.S_rows)
+            )
+            np.testing.assert_array_equal(
+                cp.home_cols_local, loc.loc_b[loc.S_cols]
+            )
+
+    @pytest.mark.parametrize("comm", ["dense", "sparse"])
+    def test_sddmm_values_come_back_in_s_order(self, comm, rng):
+        S = self.S
+        A = rng.standard_normal((S.shape[0], 12))
+        B = rng.standard_normal((S.shape[1], 12))
+        with repro.plan(
+            S, 12, p=8, c=2, algorithm="1.5d-sparse-shift", comm=comm
+        ) as sess:
+            got, _ = sess.sddmm(A, B)
+        ref = sddmm_serial(S, A, B)
+        np.testing.assert_array_equal(got.rows, S.rows)
+        np.testing.assert_array_equal(got.cols, S.cols)
+        np.testing.assert_allclose(got.vals, ref.vals, rtol=1e-12, atol=1e-12)
 
 
 class TestPlanner25D:

@@ -5,8 +5,8 @@ indices, sticky faults, chaos derivation), each fault class at the
 transport / phase / region / buffer-pool hook sites, the ``deadline_ms``
 watchdog (a blocked receive converts into :class:`SpmdTimeout` carrying a
 per-rank blocked-state dump, in bounded time), the parameterized
-``WorkerPool.close(timeout)`` diagnostics, and the poisoned-future error
-chaining.  The end-to-end chaos matrix over the algorithm families lives
+``WorkerPool.close(timeout)`` diagnostics, and the error chaining across
+pool recovery.  The end-to-end chaos matrix over the algorithm families lives
 in ``test_chaos.py``.
 """
 

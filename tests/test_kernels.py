@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,13 @@ from repro.kernels.sddmm import (
     sddmm_coo,
     sddmm_custom,
 )
-from repro.kernels.spmm import spmm_a_block, spmm_b_block, spmm_flops, spmm_scatter
+from repro.kernels.spmm import (
+    _csr_indptr,
+    spmm_a_block,
+    spmm_b_block,
+    spmm_flops,
+    spmm_scatter,
+)
 from repro.runtime.profile import RankProfile
 from repro.sparse.coo import SparseBlock
 from repro.sparse.generate import erdos_renyi
@@ -122,6 +129,20 @@ class TestSddmm:
         sddmm_coo(A, B, rows, cols, out=out)
         _assert_dots_close(out, _dense_dots(A, B, rows, cols), r + 3)
 
+    @pytest.mark.parametrize(
+        "bad_row, bad_col",
+        [(40, 0), (0, 35), (-1, 0), (0, -1)],
+        ids=["row-past-end", "col-past-end", "row-negative", "col-negative"],
+    )
+    def test_out_of_range_coordinate_raises(self, problem, bad_row, bad_col):
+        """Every coordinate must index a row of its operand; a negative
+        one must not wrap around to the end (numpy backend)."""
+        S, A, B, _, _ = problem
+        rows, cols = S.rows.copy(), S.cols.copy()
+        rows[3], cols[3] = bad_row, bad_col
+        with pytest.raises(IndexError):
+            sddmm_coo(A, B, rows, cols, profile=RankProfile())
+
     def test_flop_accounting(self, problem):
         S, A, B, blk, _ = problem
         prof = RankProfile()
@@ -219,6 +240,60 @@ class TestSpmm:
         out = np.zeros((S.nrows, B.shape[1]))
         spmm_scatter(S.rows, S.cols, S.vals, B, out)
         np.testing.assert_allclose(out, S.to_scipy() @ B)
+
+    @pytest.mark.parametrize("order", ["row", "col", "unsorted"])
+    @pytest.mark.parametrize("nnz", [0, 1, 300])
+    def test_spmm_scatter_paths_bitwise(self, order, nnz):
+        """Row-ordered, column-ordered and unsorted duplicate-free input
+        each take their own CSR build and all equal SciPy's converted
+        product bitwise, into an ``out`` that starts nonzero and over
+        rows that receive nothing (odd rows of ``out``, rows of ``B``)."""
+        m, n, r = 40, 30, 8
+        rng = np.random.default_rng(nnz)
+        flat = rng.choice((m // 2) * n, size=nnz, replace=False)
+        rows, cols = 2 * (flat // n), flat % n  # odd rows stay empty
+        if order == "row":
+            perm = np.lexsort((cols, rows))
+        elif order == "col":
+            perm = np.lexsort((rows, cols))
+        else:
+            perm = rng.permutation(nnz)
+        rows, cols = rows[perm], cols[perm]
+        vals = rng.standard_normal(nnz)
+        B = rng.standard_normal((n + 3, r))
+        out = rng.standard_normal((m, r))
+        ref = out + sp.csr_matrix((vals, (rows, cols)), shape=(m, n + 3)) @ B
+        if nnz > 1:
+            paths = (
+                _csr_indptr(rows, cols, m, n + 3) is not None,
+                _csr_indptr(cols, rows, n + 3, m) is not None,
+            )
+            assert paths == {
+                "row": (True, False), "col": (False, True),
+                "unsorted": (False, False),
+            }[order]
+        spmm_scatter(rows, cols, vals, B, out)
+        np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("order", ["row", "col", "unsorted"])
+    def test_spmm_scatter_paths_sum_duplicates(self, order, rng):
+        m, n, r = 12, 10, 4
+        rows = rng.integers(0, m, 200)
+        cols = rng.integers(0, n, 200)
+        if order == "row":
+            perm = np.lexsort((cols, rows))
+        elif order == "col":
+            perm = np.lexsort((rows, cols))
+        else:
+            perm = rng.permutation(200)
+        rows, cols = rows[perm], cols[perm]
+        vals = rng.standard_normal(200)
+        B = rng.standard_normal((n, r))
+        ref = np.ones((m, r))
+        np.add.at(ref, rows, vals[:, None] * B[cols])
+        out = np.ones((m, r))
+        spmm_scatter(rows, cols, vals, B, out)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
 
     def test_spmm_scatter_empty(self, rng):
         out = np.zeros((3, 2))

@@ -163,6 +163,19 @@ class TestPartitionCoo:
         np.testing.assert_array_equal(parts[0][3], [1, 4])  # gidx
         np.testing.assert_array_equal(parts[2][0], [0, 2, 5])
 
+    def test_partition_by_owner_orders_parts_past_int64_key(self):
+        """Coordinates too large for the combined int64 sort key still
+        come back in (row, col) order (the lexsort fallback)."""
+        big = np.int64(1) << 40
+        rows = np.array([big, 3, big, 3, 0], dtype=np.int64)
+        cols = np.array([5, big, 2, 7, big], dtype=np.int64)
+        owner = np.array([1, 0, 1, 1, 0])
+        parts = partition_by_owner(rows, cols, np.arange(5.0), owner, 2)
+        np.testing.assert_array_equal(parts[0][3], [4, 1])
+        np.testing.assert_array_equal(parts[1][3], [3, 2, 0])
+        np.testing.assert_array_equal(parts[1][0], [3, big, big])
+        np.testing.assert_array_equal(parts[1][1], [7, 2, 5])
+
     def test_partition_by_owner_bad_rank(self):
         one = np.zeros(1, np.int64)
         with pytest.raises(DistributionError):

@@ -8,12 +8,17 @@ The pool's guarantees, each asserted here:
 * dispatch after close raises;
 * pooled sessions produce **bitwise** the same kernel outputs as the
   spawn-per-call wrappers across families x comm modes, while building
-  their contexts exactly once per orientation.
+  their contexts exactly once per orientation;
+* a pool with more ranks than cores runs at most one computation region
+  per core at a time, and a rank waiting for a core is idle, not
+  computing.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ import pytest
 import repro
 from repro.errors import ReproError
 from repro.runtime.profile import RankProfile
-from repro.runtime.spmd import WorkerPool, run_spmd
+from repro.runtime.spmd import KERNEL_SLOTS, NCORES, WorkerPool, run_spmd
 from repro.types import Phase
 
 from repro.sparse.generate import erdos_renyi
@@ -145,6 +150,128 @@ class TestPoolFailure:
         results, _ = pool.run(good)
         assert results[1] == 1.0
         pool.close()
+
+
+def _free_kernel_slots() -> int:
+    """Kernel slots free right now (taken and handed straight back)."""
+    n = 0
+    while KERNEL_SLOTS.acquire(blocking=False):
+        n += 1
+    for _ in range(n):
+        KERNEL_SLOTS.release()
+    return n
+
+
+class TestKernelAdmission:
+    """Ranks beyond the core count queue for a core before computing."""
+
+    HOLD = 0.1
+
+    def _compute_body(self, state, nested=False):
+        """Each rank holds a computation region (optionally with a nested
+        one inside) for ``HOLD`` s, recording the concurrency high-water
+        mark and its own timings."""
+
+        def body(comm):
+            prof = comm.profile
+            before = time.perf_counter()
+            with prof.track(Phase.COMPUTATION):
+                inside = time.perf_counter()
+                with state["lock"]:
+                    state["now"] += 1
+                    state["high"] = max(state["high"], state["now"])
+                if nested:  # an inner region takes no second slot
+                    with prof.track(Phase.COMPUTATION):
+                        time.sleep(self.HOLD)
+                else:
+                    time.sleep(self.HOLD)
+                with state["lock"]:
+                    state["now"] -= 1
+                left = time.perf_counter()
+            return before, inside, left
+
+        return body
+
+    @staticmethod
+    def _state():
+        return {"lock": threading.Lock(), "now": 0, "high": 0}
+
+    @staticmethod
+    def _run(pool, fn, timeout=30.0):
+        """``pool.run(fn)`` from a helper thread joined with a timeout, so
+        a wedged admission fails the test instead of hanging it."""
+        out = {}
+
+        def drive():
+            try:
+                out["value"] = pool.run(fn)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                out["error"] = exc
+
+        driver = threading.Thread(target=drive, daemon=True)
+        driver.start()
+        driver.join(timeout)
+        assert not driver.is_alive(), "pool.run did not finish"
+        if "error" in out:
+            raise out["error"]
+        return out["value"]
+
+    def test_concurrent_compute_capped_at_cores(self):
+        state = self._state()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(NCORES + 2) as pool:
+                for _ in range(3):
+                    self._run(pool, self._compute_body(state, nested=True))
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= state["high"] <= NCORES
+        assert _free_kernel_slots() == NCORES
+
+    def test_nested_region_takes_one_slot(self):
+        def body(comm):
+            if comm.rank == 0:
+                with comm.profile.track(Phase.COMPUTATION):
+                    with comm.profile.track(Phase.COMPUTATION):
+                        return _free_kernel_slots()
+
+        with WorkerPool(NCORES + 1) as pool:
+            results, _ = self._run(pool, body)
+        assert results[0] == NCORES - 1
+
+    def test_raise_in_compute_frees_every_slot(self):
+        def bad(comm):
+            with comm.profile.track(Phase.COMPUTATION):
+                if comm.rank == 0:
+                    raise ValueError("boom")
+                time.sleep(0.01)
+
+        state = self._state()
+        with WorkerPool(NCORES + 2) as pool:
+            with pytest.raises(RuntimeError, match="boom"):
+                self._run(pool, bad)
+            assert _free_kernel_slots() == NCORES
+            results, _ = self._run(pool, self._compute_body(state))
+        assert len(results) == NCORES + 2
+        assert state["high"] <= NCORES
+
+    def test_slot_wait_is_not_compute_time(self):
+        state = self._state()
+        with WorkerPool(NCORES + 2) as pool:
+            results, report = self._run(pool, self._compute_body(state))
+        waits = [inside - before for before, inside, _ in results]
+        # two ranks more than cores: some rank queued for a whole hold
+        assert max(waits) >= 0.5 * self.HOLD
+        for (_, inside, left), prof in zip(results, report.per_rank):
+            compute = prof.counters[Phase.COMPUTATION].seconds
+            assert compute <= (left - inside) + 0.02
+
+    def test_slots_attached_only_past_core_count(self):
+        for nranks, slots in ((NCORES, None), (NCORES + 1, KERNEL_SLOTS)):
+            with WorkerPool(nranks) as pool:
+                _, report = pool.run(lambda comm: None)
+            assert all(prof.slots is slots for prof in report.per_rank)
 
 
 class TestPoolClose:
